@@ -18,8 +18,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .coulomb import potential_V1
-from .errors import ConfigError
-from .field import FieldVector, ModelContext, potential_V2, reconstruct_tilde_A
+from .errors import ConfigError, InvariantViolation
+from .field import FieldVector, ModelContext, potential_V2
 from .lattice import WaveVector
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
@@ -30,16 +30,22 @@ def adaptive_gauss_legendre(f, a: float = 0.0, b: float = 1.0,
                             max_depth: int = 24):
     """Adaptive panel-splitting Gauss-Legendre quadrature.
 
-    ``f`` maps an array of abscissas to an array of values (scalar or
-    vector-valued along trailing axes).  Panels split until the refinement
-    shift is below rel_tol times the running scale, with abs_floor as the
-    absolute fallback.
+    ``f`` maps the array of a panel's 16 abscissas to an array of values
+    (scalar or vector-valued along trailing axes) in one call.  Panels split
+    until the refinement shift is below rel_tol times the running scale, with
+    abs_floor as the absolute fallback.  A NaN or infinite value raises
+    ``InvariantViolation``: it could never pass the shift test, so the
+    recursion would otherwise run the full tree down to max_depth.
     """
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         values = np.asarray(f(mid + half * _GL_NODES), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvariantViolation(
+                f"integrand is not finite on the panel [{lo:.17g}, {hi:.17g}]"
+            )
         return half * np.tensordot(_GL_WEIGHTS, values, axes=([0], [0]))
 
     def refine(lo, hi, whole, depth):
@@ -172,17 +178,13 @@ def segment_action(t: float, s: float, x, y, X, Y, ctx: ModelContext) -> float:
     kinetic_field = float(field_diff @ field_diff) / (2.0 * config.volume * dt)
 
     def v1_integrand(thetas):
-        return np.array([
-            potential_V1((1.0 - th) * xv + th * yv, charges, ctx.modes1, config)
-            for th in np.atleast_1d(thetas)
-        ])
+        th = thetas[:, None, None]
+        return potential_V1((1.0 - th) * xv + th * yv, charges, ctx.modes1, config)
 
     def v2_integrand(thetas):
-        return np.array([
-            potential_V2(FieldVector((1.0 - th) * Xv + th * Yv, ctx.modes3),
-                         ctx.modes3, config)
-            for th in np.atleast_1d(thetas)
-        ])
+        th = thetas[:, None]
+        return potential_V2(FieldVector((1.0 - th) * Xv + th * Yv, ctx.modes3),
+                            ctx.modes3, config)
 
     v1_term = -dt * float(adaptive_gauss_legendre(v1_integrand)) \
         if len(charges) >= 2 and np.any(charges != 0.0) else 0.0
@@ -192,19 +194,16 @@ def segment_action(t: float, s: float, x, y, X, Y, ctx: ModelContext) -> float:
     coupling = 0.0
     if len(charges) and np.any(charges != 0.0) and ctx.modes2.N:
         def coupled_integrand(thetas):
-            out = np.empty(len(np.atleast_1d(thetas)))
-            for pos, th in enumerate(np.atleast_1d(thetas)):
-                a_theta = FieldVector((1.0 - th) * Xv + th * Yv, ctx.modes3)
-                total = 0.0
-                for j in range(len(charges)):
-                    if charges[j] == 0.0:
-                        continue
-                    point = (1.0 - th) * xv[j] + th * yv[j]
-                    tilde = reconstruct_tilde_A(point, a_theta, ctx.modes2,
-                                                ctx.frame, ctx.mollifiers, config)
-                    total += charges[j] * float(disp[j] @ tilde)
-                out[pos] = total
-            return out
+            th = thetas[:, None]
+            a_theta = (1.0 - th) * Xv + th * Yv
+            total = np.zeros(len(thetas))
+            for j in range(len(charges)):
+                if charges[j] == 0.0:
+                    continue
+                points = (1.0 - th) * xv[j] + th * yv[j]
+                tilde, _, _ = ctx.tilde_A(points, a_theta, need_x=False, need_a=False)
+                total += charges[j] * (tilde @ disp[j])
+            return total
 
         coupling = float(adaptive_gauss_legendre(coupled_integrand)) / config.c_light
 

@@ -234,47 +234,49 @@ def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
     )
 
 
+def _pair_phases(positions, charges, modes: ModeSet):
+    """Positions (..., n, 3), checked charges and the phases k.(x_j - x_l)."""
+    x = np.atleast_2d(np.asarray(positions, dtype=float))
+    e = np.asarray(charges, dtype=float)
+    n = x.shape[-2]
+    if x.shape[-1] != 3 or e.shape != (n,):
+        raise ConfigError("positions must be (n, 3) and charges length n")
+    if n < 2 or modes.N == 0:
+        return x, e, None
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return x, e, np.tensordot(diff, modes.k, axes=([-1], [1]))   # (..., n, n, N')
+
+
 def potential_V1(positions, charges, modes: ModeSet,
-                 config: SimulationConfig) -> float:
+                 config: SimulationConfig):
     """Finite-mode Coulomb energy over the first cutoff set.
 
     Ordered-pair double sum of e_j e_l cos(k.(x_j - x_l)) / |k|^2 over the
     full mode set, scaled by 2 pi / |V|; evaluated on the halved set with the
-    parity doubling.  Zero for fewer than two particles.
+    parity doubling.  Zero for fewer than two particles.  Positions of shape
+    (..., n, 3) give one energy per leading index, shape (...).
     """
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
-    e = np.asarray(charges, dtype=float)
-    n = x.shape[0]
-    if x.shape != (n, 3) or e.shape != (n,):
-        raise ConfigError("positions must be (n, 3) and charges length n")
-    if n < 2 or modes.N == 0:
-        return 0.0
-    K = np.array([wv.k for wv in modes.lam_prime])
-    inv_k2 = np.array([1.0 / wv.norm ** 2 for wv in modes.lam_prime])
-    diff = x[:, None, :] - x[None, :, :]
-    phases = np.tensordot(diff, K, axes=([2], [1]))     # (n, n, N')
-    weights = np.einsum("jlm,m->jl", np.cos(phases), inv_k2)
-    np.fill_diagonal(weights, 0.0)
-    total = float(np.einsum("j,l,jl->", e, e, weights))
+    x, e, phases = _pair_phases(positions, charges, modes)
+    if phases is None:
+        return np.zeros(x.shape[:-2])[()]
+    n = len(e)
+    weights = np.einsum("...jlm,m->...jl", np.cos(phases), 1.0 / modes.k_norm ** 2)
+    weights[..., range(n), range(n)] = 0.0
+    total = np.einsum("j,l,...jl->...", e, e, weights)
     return (TWO_PI / config.volume) * 2.0 * total
 
 
 def v1_gradient(positions, charges, modes: ModeSet,
                 config: SimulationConfig) -> np.ndarray:
-    """Derivative of the finite-mode Coulomb energy per particle coordinate."""
-    x = np.atleast_2d(np.asarray(positions, dtype=float))
-    e = np.asarray(charges, dtype=float)
-    n = x.shape[0]
-    if n < 2 or modes.N == 0:
-        return np.zeros((n, 3))
-    K = np.array([wv.k for wv in modes.lam_prime])
-    inv_k2 = np.array([1.0 / wv.norm ** 2 for wv in modes.lam_prime])
-    diff = x[:, None, :] - x[None, :, :]
-    phases = np.tensordot(diff, K, axes=([2], [1]))     # (n, n, N')
-    sines = np.sin(phases) * inv_k2
+    """Derivative of the finite-mode Coulomb energy per particle coordinate,
+    batched like ``potential_V1``: shape (..., n, 3)."""
+    x, e, phases = _pair_phases(positions, charges, modes)
+    if phases is None:
+        return np.zeros(x.shape)
+    sines = np.sin(phases) * (1.0 / modes.k_norm ** 2)
     pair = np.einsum("j,l->jl", e, e)
     np.fill_diagonal(pair, 0.0)
-    grad = -np.einsum("jl,jlm,mc->jc", pair, sines, K)
+    grad = -np.einsum("jl,...jlm,mc->...jc", pair, sines, modes.k)
     return (TWO_PI / config.volume) * 4.0 * grad
 
 

@@ -31,6 +31,10 @@ class FieldVector:
     Flat offset of variable (l, k, i) is 4*k_index + 2*(l-1) + (i-1), where
     k_index enumerates Lambda' in its stored (sorted) order.  ``grid`` exposes
     the same storage reshaped to (N, 2, 2) with axes (k, l-1, i-1).
+
+    ``values`` may carry leading batch axes, shape (..., 4N), so the kernels
+    can evaluate many field points in one call; ``grid`` is then
+    (..., N, 2, 2).  ``entry`` and ``to_csv`` address a single point.
     """
 
     values: np.ndarray
@@ -38,7 +42,7 @@ class FieldVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (4 * self.modes.N,):
+        if self.values.ndim < 1 or self.values.shape[-1] != 4 * self.modes.N:
             raise ConfigError(
                 f"field vector needs length {4 * self.modes.N}, got {self.values.shape}"
             )
@@ -56,7 +60,7 @@ class FieldVector:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.values.reshape(self.modes.N, 2, 2)
+        return self.values.reshape(self.values.shape[:-1] + (self.modes.N, 2, 2))
 
     def offset(self, l: int, s: tuple, i: int) -> int:
         if l not in (1, 2) or i not in (1, 2):
@@ -87,6 +91,10 @@ class MollifierPair:
     The defaults are psi(t) = sigma*tanh(t/sigma), which is odd with all
     derivatives decaying and close to the identity for |t| << sigma, and
     g(x) = exp(-|x|^2/(2 w^2)) with g(0) = 1.
+
+    The kernels call these on whole batches: psi and psi_prime act
+    elementwise on arrays of any shape, g maps points of shape (..., 3) to
+    (...), and g_grad maps them to (..., 3).  A custom pair must do the same.
     """
 
     psi: object
@@ -110,11 +118,11 @@ class MollifierPair:
 
         def g(x):
             x = np.asarray(x, dtype=float)
-            return float(np.exp(-np.dot(x, x) / (2.0 * width * width)))
+            return np.exp(-np.sum(x * x, axis=-1) / (2.0 * width * width))
 
         def g_grad(x):
             x = np.asarray(x, dtype=float)
-            return (-x / (width * width)) * g(x)
+            return (-x / (width * width)) * g(x)[..., None]
 
         return cls(psi=psi, psi_prime=psi_prime, g=g, g_grad=g_grad,
                    sigma_psi=sigma, width_g=width)
@@ -132,7 +140,10 @@ class ModelContext:
 
     modes1 drives V1, modes2 the coupled potential, modes3 the field state
     space.  Lambda'_2 must be contained in Lambda'_3; ``prime2_in_3`` maps each
-    Lambda'_2 index to its slot in the Lambda'_3 enumeration.
+    Lambda'_2 index to its slot in the Lambda'_3 enumeration.  ``frame2``
+    (N2, 2, 3) holds the polarization vectors on Lambda'_2 and ``cols2``
+    (N2, 2, 2) the flat Lambda'_3 offsets of the variables (k, l, i) they
+    couple to; both are built once, for the batched kernels.
     """
 
     config: SimulationConfig
@@ -142,6 +153,8 @@ class ModelContext:
     frame: PolarizationFrame
     mollifiers: MollifierPair
     prime2_in_3: np.ndarray = field(init=False, repr=False, compare=False)
+    frame2: np.ndarray = field(init=False, repr=False, compare=False)
+    cols2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mapping = []
@@ -153,6 +166,9 @@ class ModelContext:
                 )
             mapping.append(self.modes3.prime_index(wv.s))
         object.__setattr__(self, "prime2_in_3", np.asarray(mapping, dtype=np.intp))
+        _, frame2, cols2 = _mode_arrays(self.modes2, self.frame, self.modes3)
+        object.__setattr__(self, "frame2", frame2)
+        object.__setattr__(self, "cols2", cols2)
 
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "ModelContext":
@@ -187,8 +203,16 @@ class ModelContext:
 
     def field_frequencies(self) -> np.ndarray:
         """Angular frequency c|k| per flat field variable (length 4N)."""
-        omega = np.array([self.config.c_light * wv.norm for wv in self.modes3.lam_prime])
-        return np.repeat(omega, 4)
+        return np.repeat(self.config.c_light * self.modes3.k_norm, 4)
+
+    def tilde_A(self, x, a_values, *, need_x: bool = True, need_a: bool = True):
+        """``tilde_A_with_derivatives`` on Lambda'_2 for raw Lambda'_3 values.
+
+        Same batched shapes: ``x`` (..., 3) and ``a_values`` (..., 4N); the
+        frame and column map come from the context instead of per-call lookups.
+        """
+        return _mollified_potential(x, a_values, self.modes2.k, self.frame2, self.cols2,
+                                    self.mollifiers, self.config, need_x, need_a)
 
 
 def extend_parity(a: FieldVector) -> dict:
@@ -200,8 +224,8 @@ def extend_parity(a: FieldVector) -> dict:
     for idx, wv in enumerate(a.modes.lam_prime):
         neg = wv.negated().s
         for l in (1, 2):
-            a1 = a.grid[idx, l - 1, 0]
-            a2 = a.grid[idx, l - 1, 1]
+            a1 = a.grid[..., idx, l - 1, 0]
+            a2 = a.grid[..., idx, l - 1, 1]
             full[(l, wv.s, 1)] = a1
             full[(l, wv.s, 2)] = a2
             full[(l, neg, 1)] = -a1
@@ -209,10 +233,20 @@ def extend_parity(a: FieldVector) -> dict:
     return full
 
 
-def _mode_arrays(modes: ModeSet, frame: PolarizationFrame):
-    K = np.array([wv.k for wv in modes.lam_prime]).reshape(-1, 3)
+def _mode_arrays(modes: ModeSet, frame: PolarizationFrame, field_modes: ModeSet):
+    """Wave vectors (N, 3), frame (N, 2, 3) and flat columns (N, 2, 2) of ``modes``.
+
+    The columns are the offsets of the variables (k, l, i) in the flat
+    layout of a field vector on ``field_modes``.
+    """
     E = np.array([frame.e(wv) for wv in modes.lam_prime]).reshape(-1, 2, 3)
-    return K, E
+    idx = np.array([field_modes.prime_index(wv.s) for wv in modes.lam_prime], dtype=np.intp)
+    cols = 4 * idx[:, None, None] + 2 * np.arange(2)[None, :, None] + np.arange(2)[None, None, :]
+    return modes.k, E, cols
+
+
+def _prefactor(config: SimulationConfig) -> float:
+    return math.sqrt(4.0 * math.pi) * config.c_light / config.volume * math.sqrt(2.0)
 
 
 def reconstruct_A(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
@@ -226,18 +260,19 @@ def reconstruct_A(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
     if modes.N == 0:
         return np.zeros(3)
     x = np.asarray(x, dtype=float)
-    K, E = _mode_arrays(modes, frame)
-    idx = np.array([a.modes.prime_index(wv.s) for wv in modes.lam_prime], dtype=np.intp)
-    coeff = a.grid[idx]                                    # (N2, 2, 2)
+    K, E, cols = _mode_arrays(modes, frame, a.modes)
+    coeff = a.values[cols]                                 # (N2, 2, 2)
     kx = K @ x
     weights = coeff[:, :, 0] * np.cos(kx)[:, None] + coeff[:, :, 1] * np.sin(kx)[:, None]
-    pref = math.sqrt(4.0 * math.pi) * config.c_light / config.volume * math.sqrt(2.0)
-    return pref * np.einsum("nl,nlm->m", weights, E)
+    return _prefactor(config) * np.einsum("nl,nlm->m", weights, E)
 
 
 def reconstruct_tilde_A(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
                         mollifiers: MollifierPair, config: SimulationConfig) -> np.ndarray:
-    """The mollified potential: psi applied coordinatewise, global factor g(x)."""
+    """The mollified potential: psi applied coordinatewise, global factor g(x).
+
+    Batched like ``tilde_A_with_derivatives``: shape (..., 3).
+    """
     value, _, _ = tilde_A_with_derivatives(
         x, a, modes, frame, mollifiers, config, need_x=False, need_a=False
     )
@@ -247,61 +282,71 @@ def reconstruct_tilde_A(x, a: FieldVector, modes: ModeSet, frame: PolarizationFr
 def tilde_A_with_derivatives(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
                              mollifiers: MollifierPair, config: SimulationConfig,
                              need_x: bool = True, need_a: bool = True):
-    """Mollified potential with optional gradients.
+    """Mollified potential with optional gradients, batched over points.
 
-    Returns (value, grad_x, grad_a) where grad_x[m, l] = d(tilde_A_l)/dx_m and
-    grad_a[m, v] = d(tilde_A_m)/da_v on the flat Lambda'_3 layout of ``a``.
-    Entries not requested come back as None.
+    ``x`` has shape (..., 3) and ``a.values`` shape (..., 4N); their leading
+    axes broadcast to a batch shape B, and a single point is the batch of
+    shape ().  Returns (value, grad_x, grad_a) with shapes B + (3,),
+    B + (3, 3) and B + (3, 4N), where grad_x[..., m, l] = d(tilde_A_l)/dx_m
+    and grad_a[..., m, v] = d(tilde_A_m)/da_v on the flat Lambda'_3 layout of
+    ``a``.  Entries not requested come back as None.
     """
-    x = np.asarray(x, dtype=float)
-    n_flat = 4 * a.modes.N
-    if modes.N == 0:
-        zeros3 = np.zeros(3)
-        return (
-            zeros3,
-            np.zeros((3, 3)) if need_x else None,
-            np.zeros((3, n_flat)) if need_a else None,
-        )
-    K, E = _mode_arrays(modes, frame)
-    idx = np.array([a.modes.prime_index(wv.s) for wv in modes.lam_prime], dtype=np.intp)
-    coeff = a.grid[idx]                                    # (N2, 2, 2)
-    psi_vals = mollifiers.psi(coeff)
-    kx = K @ x
-    cos_kx = np.cos(kx)
-    sin_kx = np.sin(kx)
-    pref = math.sqrt(4.0 * math.pi) * config.c_light / config.volume * math.sqrt(2.0)
-    g_val = mollifiers.g(x)
+    K, E, cols = _mode_arrays(modes, frame, a.modes)
+    return _mollified_potential(x, a.values, K, E, cols, mollifiers, config, need_x, need_a)
 
-    weights = psi_vals[:, :, 0] * cos_kx[:, None] + psi_vals[:, :, 1] * sin_kx[:, None]
-    raw = np.einsum("nl,nlm->m", weights, E)               # before g and pref
-    value = pref * g_val * raw
+
+def _mollified_potential(x, a_values, K, E, cols, mollifiers: MollifierPair,
+                         config: SimulationConfig, need_x: bool, need_a: bool):
+    """Batched core of ``tilde_A_with_derivatives`` on prebuilt mode arrays."""
+    x = np.asarray(x, dtype=float)
+    a_values = np.asarray(a_values, dtype=float)
+    n_flat = a_values.shape[-1]
+    batch = np.broadcast_shapes(x.shape[:-1], a_values.shape[:-1])
+    if len(K) == 0:
+        return (
+            np.zeros(batch + (3,)),
+            np.zeros(batch + (3, 3)) if need_x else None,
+            np.zeros(batch + (3, n_flat)) if need_a else None,
+        )
+    coeff = a_values[..., cols]                            # (..., N2, 2, 2)
+    psi_vals = mollifiers.psi(coeff)
+    kx = x @ K.T                                           # (..., N2)
+    cos_kx = np.cos(kx)[..., None]
+    sin_kx = np.sin(kx)[..., None]
+    pref = _prefactor(config)
+    g_val = np.asarray(mollifiers.g(x), dtype=float)
+    scale = (pref * g_val)[..., None]
+
+    weights = psi_vals[..., 0] * cos_kx + psi_vals[..., 1] * sin_kx
+    raw = np.einsum("...nl,nlm->...m", weights, E)         # before g and pref
+    value = scale * raw
 
     grad_x = None
     if need_x:
-        dweights = -psi_vals[:, :, 0] * sin_kx[:, None] + psi_vals[:, :, 1] * cos_kx[:, None]
-        osc = np.einsum("nj,nl,nlm->jm", K, dweights, E)   # d(raw_m)/dx_j at fixed g
-        grad_x = pref * (np.outer(mollifiers.g_grad(x), raw) + g_val * osc)
+        dweights = -psi_vals[..., 0] * sin_kx + psi_vals[..., 1] * cos_kx
+        osc = np.einsum("nj,...nl,nlm->...jm", K, dweights, E)  # d(raw_m)/dx_j at fixed g
+        grad_x = pref * (mollifiers.g_grad(x)[..., :, None] * raw[..., None, :]
+                         + g_val[..., None, None] * osc)
 
     grad_a = None
     if need_a:
-        grad_a = np.zeros((3, n_flat))
-        psi_d = mollifiers.psi_prime(coeff)                # (N2, 2, 2)
-        trig = np.stack([cos_kx, sin_kx], axis=-1)         # (N2, 2)
-        per_var = psi_d * trig[:, None, :]                 # (N2, 2, 2) for (k, l, i)
-        flat_cols = (4 * idx[:, None, None]
-                     + 2 * np.arange(2)[None, :, None]
-                     + np.arange(2)[None, None, :])
-        contrib = pref * g_val * np.einsum("nli,nlm->mnli", per_var, E)
-        grad_a[:, flat_cols.ravel()] = contrib.reshape(3, -1)
+        grad_a = np.zeros(batch + (3, n_flat))
+        psi_d = mollifiers.psi_prime(coeff)                # (..., N2, 2, 2)
+        trig = np.concatenate([cos_kx, sin_kx], axis=-1)   # (..., N2, 2)
+        per_var = psi_d * trig[..., None, :]               # (..., N2, 2, 2) for (k, l, i)
+        contrib = scale[..., None, None, None] * np.einsum("...nli,nlm->...mnli", per_var, E)
+        grad_a[..., cols.ravel()] = contrib.reshape(batch + (3, -1))
 
     return value, grad_x, grad_a
 
 
-def potential_V2(a: FieldVector, modes: ModeSet, config: SimulationConfig) -> float:
+def potential_V2(a: FieldVector, modes: ModeSet, config: SimulationConfig):
     """Quadratic field potential with the ground-energy subtraction.
 
     Sum over (k in Lambda', i, l) of (c|k|)^2 a^2 / (2|V|) - hbar c |k| / 2;
-    the subtraction makes the field ground-state energy exactly zero.
+    the subtraction makes the field ground-state energy exactly zero.  A
+    batch of field points (``a.values`` of shape (..., 4N)) gives an array of
+    shape (...); each point is reduced with ``math.fsum``.
     """
     if modes is not a.modes and [wv.s for wv in modes.lam_prime] != [
         wv.s for wv in a.modes.lam_prime
@@ -310,16 +355,15 @@ def potential_V2(a: FieldVector, modes: ModeSet, config: SimulationConfig) -> fl
     c = config.c_light
     hbar = config.hbar
     vol = config.volume
-    terms = []
-    grid = a.grid
-    for idx, wv in enumerate(modes.lam_prime):
-        knorm = wv.norm
-        quad = (c * knorm) ** 2 / (2.0 * vol) * float(np.sum(grid[idx] ** 2))
-        terms.append(quad - 2.0 * hbar * c * knorm)
-    return math.fsum(terms)
+    knorm = modes.k_norm
+    batch = a.values.shape[:-1]
+    squares = np.sum((a.values ** 2).reshape(batch + (modes.N, 4)), axis=-1)
+    terms = (c * knorm) ** 2 / (2.0 * vol) * squares - 2.0 * hbar * c * knorm
+    sums = [math.fsum(row) for row in terms.reshape(math.prod(batch), modes.N).tolist()]
+    return sums[0] if not batch else np.array(sums).reshape(batch)
 
 
 def v2_gradient(a: FieldVector, config: SimulationConfig) -> np.ndarray:
-    """dV2/da per flat variable: (c|k|)^2 a / |V|."""
-    omega_sq = np.array([(config.c_light * wv.norm) ** 2 for wv in a.modes.lam_prime])
+    """dV2/da per flat variable: (c|k|)^2 a / |V|, batched like ``a.values``."""
+    omega_sq = (config.c_light * a.modes.k_norm) ** 2
     return np.repeat(omega_sq, 4) * a.values / config.volume

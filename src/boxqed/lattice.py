@@ -201,18 +201,29 @@ def _positive_representative(s: tuple[int, int, int]) -> bool:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """A cutoff mode set Lambda together with its halving Lambda'."""
+    """A cutoff mode set Lambda together with its halving Lambda'.
+
+    ``k`` (N, 3) and ``k_norm`` (N,) hold the wave vectors of Lambda' and
+    their lengths, built once with the same arithmetic as ``WaveVector.k``
+    and ``WaveVector.norm``.
+    """
 
     lam: tuple[WaveVector, ...]
     lam_prime: tuple[WaveVector, ...]
     L: tuple[float, float, float]
     cutoff: int | None = None
     _prime_index: dict = field(default_factory=dict, compare=False, repr=False)
+    k: np.ndarray = field(init=False, compare=False, repr=False)
+    k_norm: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_prime_index", {wv.s: i for i, wv in enumerate(self.lam_prime)}
         )
+        s = np.array([wv.s for wv in self.lam_prime], dtype=float).reshape(-1, 3)
+        k = TWO_PI * s / np.asarray(self.L, dtype=float)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k_norm", np.sqrt(np.sum(k * k, axis=1)))
 
     @property
     def N(self) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 from .action import Subdivision, adaptive_gauss_legendre, segment_action
 from .coulomb import v1_gradient
 from .errors import BudgetError, ConfigError, InvariantViolation
-from .field import FieldVector, ModelContext, tilde_A_with_derivatives, v2_gradient
+from .field import FieldVector, ModelContext, v2_gradient
 from .fock import OperatorMatrix, OscillatorBasis, StateVector, h_rad
 from .lattice import SimulationConfig
 
@@ -107,7 +107,7 @@ def extrapolate_inverse_square(values, eps_values) -> complex:
 # Analytic one-variable step
 # ---------------------------------------------------------------------------
 
-def _pair_form(rho: float, omega: float, hbar: float, volume: float):
+def _pair_form(rho: float, omega: float, volume: float):
     """Quadratic endpoint form of one field variable over one step.
 
     Midpoint integration of the quadratic potential along the straight
@@ -158,7 +158,7 @@ def quadratic_variable_step(rho: float, omega: float, cap: int, *,
         raise ConfigError("quadratic_variable_step needs rho > 0")
     _guard_step_size(rho, omega)
     lam_sq = omega / (hbar * volume)
-    a, b = _pair_form(rho, omega, hbar, volume)
+    a, b = _pair_form(rho, omega, volume)
     A11 = lam_sq - 2j * a / hbar
     A12 = -1j * b / hbar
     det_q = (A11 - A12) * (A11 + A12)
@@ -480,6 +480,44 @@ class PhiMapPoint:
     identity_residual: Optional[float]
 
 
+def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
+    """Theta integrand of the earlier-endpoint gradient, or None when it vanishes.
+
+    The returned function maps theta nodes (B,) to rows (B, 3n + 4N): the
+    particle block flattened per node, then the field block.  All nodes of a
+    quadrature panel are evaluated in one batched call.
+    """
+    config = ctx.config
+    n = config.n_particles
+    charges = np.asarray(config.charges, dtype=float)
+    has_v1 = n >= 2 and np.any(charges != 0.0) and ctx.modes1.N > 0
+    has_v2 = ctx.modes3.N > 0
+    coupled = [j for j in range(n) if charges[j] != 0.0] if ctx.modes2.N else []
+    if not (has_v1 or has_v2 or coupled):
+        return None
+
+    disp = z_part - y_part if n else np.zeros((0, 3))
+
+    def integrand(th):
+        weight = rho * th
+        q = (1.0 - th)[:, None, None] * z_part + th[:, None, None] * y_part
+        a_vals = (1.0 - th)[:, None] * Z_f + th[:, None] * Y_f
+        rows_y = np.zeros((len(th), n, 3))
+        rows_Y = np.zeros((len(th), ctx.n_field))
+        if has_v1:
+            rows_y -= weight[:, None, None] * v1_gradient(q, charges, ctx.modes1, config)
+        if has_v2:
+            rows_Y -= weight[:, None] * v2_gradient(FieldVector(a_vals, ctx.modes3), config)
+        for j in coupled:
+            value, grad_x, grad_a = ctx.tilde_A(q[:, j], a_vals)
+            factor = charges[j] / config.c_light
+            rows_y[:, j] += factor * (-value + th[:, None] * (grad_x @ disp[j]))
+            rows_Y += (factor * th)[:, None] * (disp[j] @ grad_a)
+        return np.concatenate([rows_y.reshape(len(th), 3 * n), rows_Y], axis=1)
+
+    return integrand
+
+
 def _earlier_gradient(t: float, s: float, z_part, y_part, Z_f, Y_f,
                       ctx: ModelContext, rel_tol: float):
     """Gradients of the segment action in its earlier endpoint.
@@ -492,46 +530,14 @@ def _earlier_gradient(t: float, s: float, z_part, y_part, Z_f, Y_f,
     config = ctx.config
     n = config.n_particles
     masses = np.asarray(config.masses, dtype=float)
-    charges = np.asarray(config.charges, dtype=float)
-    vol = config.volume
-    n_field = ctx.n_field
 
     grad_y = (masses[:, None] * (y_part - z_part) / rho) if n else \
         np.zeros((0, 3))
-    grad_Y = (Y_f - Z_f) / (vol * rho)
+    grad_Y = (Y_f - Z_f) / (config.volume * rho)
 
-    has_v1 = n >= 2 and np.any(charges != 0.0) and ctx.modes1.N > 0
-    has_v2 = ctx.modes3.N > 0
-    coupled = [j for j in range(n) if charges[j] != 0.0] if ctx.modes2.N else []
-    if not (has_v1 or has_v2 or coupled):
+    integrand = _earlier_integrand(rho, z_part, y_part, Z_f, Y_f, ctx)
+    if integrand is None:
         return grad_y, grad_Y
-
-    disp = z_part - y_part if n else np.zeros((0, 3))
-
-    def integrand(thetas):
-        thetas = np.atleast_1d(thetas)
-        out = np.zeros((len(thetas), 3 * n + n_field))
-        for pos, th in enumerate(thetas):
-            q = (1.0 - th) * z_part + th * y_part if n else z_part
-            a_vals = (1.0 - th) * Z_f + th * Y_f
-            row_y = np.zeros((n, 3))
-            row_Y = np.zeros(n_field)
-            if has_v1:
-                row_y -= rho * th * v1_gradient(q, charges, ctx.modes1, config)
-            if has_v2:
-                row_Y -= rho * th * v2_gradient(
-                    FieldVector(a_vals, ctx.modes3), config)
-            for j in coupled:
-                value, grad_x, grad_a = tilde_A_with_derivatives(
-                    q[j], FieldVector(a_vals, ctx.modes3), ctx.modes2,
-                    ctx.frame, ctx.mollifiers, config)
-                factor = charges[j] / config.c_light
-                row_y[j] += factor * (-value + th * (grad_x @ disp[j]))
-                row_Y += factor * th * (disp[j] @ grad_a)
-            out[pos, :3 * n] = row_y.reshape(-1)
-            out[pos, 3 * n:] = row_Y
-        return out
-
     integral = adaptive_gauss_legendre(integrand, rel_tol=rel_tol,
                                        abs_floor=1e-14)
     grad_y = grad_y + integral[:3 * n].reshape(n, 3)
@@ -706,8 +712,7 @@ def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
     n = config.n_particles
     rng = np.random.default_rng(seed)
     box = np.asarray(config.L, dtype=float)
-    omegas = np.repeat(
-        [config.c_light * wv.norm for wv in ctx.modes3.lam_prime], 4)
+    omegas = ctx.field_frequencies()
     a_scale = np.sqrt(config.hbar * config.volume
                       / np.maximum(omegas, 1e-30)) if len(omegas) else \
         np.zeros(0)
@@ -999,7 +1004,7 @@ def _galerkin_matrix(backend: StepBackend, rho: float) -> np.ndarray:
 
     evecs = ctx.frame.e(wv)
     gamma = e_ch * math.sqrt(8.0 * math.pi) / vol
-    a_q, b_q = _pair_form(rho, omega, hbar, vol)
+    a_q, b_q = _pair_form(rho, omega, vol)
     A11 = lam_sq - 2j * a_q / hbar
     A12 = -1j * b_q / hbar
     det_q2 = (A11 - A12) * (A11 + A12)

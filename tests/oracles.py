@@ -10,7 +10,8 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from boxqed.field import extend_parity
+from boxqed.coulomb import v1_gradient
+from boxqed.field import FieldVector, extend_parity, tilde_A_with_derivatives, v2_gradient
 
 
 def complex_field_sum(x, a, modes, frame, config):
@@ -95,3 +96,40 @@ def looped_tilde_A(x, a, modes, frame, mollifiers, config):
             out += (float(mollifiers.psi(a1)) * np.cos(kx)
                     + float(mollifiers.psi(a2)) * np.sin(kx)) * np.asarray(evec)
     return pref * mollifiers.g(x) * out
+
+
+def looped_earlier_integrand(thetas, rho, z_part, y_part, Z_f, Y_f, ctx):
+    """Theta integrand of the earlier-endpoint gradient, one node at a time.
+
+    The per-node form the batched propagator integrand replaced: every node
+    rebuilds its field vector and calls the kernels on a single point.
+    """
+    config = ctx.config
+    n = config.n_particles
+    charges = np.asarray(config.charges, dtype=float)
+    n_field = ctx.n_field
+    has_v1 = n >= 2 and np.any(charges != 0.0) and ctx.modes1.N > 0
+    has_v2 = ctx.modes3.N > 0
+    coupled = [j for j in range(n) if charges[j] != 0.0] if ctx.modes2.N else []
+    disp = z_part - y_part if n else np.zeros((0, 3))
+    thetas = np.atleast_1d(thetas)
+    out = np.zeros((len(thetas), 3 * n + n_field))
+    for pos, th in enumerate(thetas):
+        q = (1.0 - th) * z_part + th * y_part if n else z_part
+        a_vals = (1.0 - th) * Z_f + th * Y_f
+        row_y = np.zeros((n, 3))
+        row_Y = np.zeros(n_field)
+        if has_v1:
+            row_y -= rho * th * v1_gradient(q, charges, ctx.modes1, config)
+        if has_v2:
+            row_Y -= rho * th * v2_gradient(FieldVector(a_vals, ctx.modes3), config)
+        for j in coupled:
+            value, grad_x, grad_a = tilde_A_with_derivatives(
+                q[j], FieldVector(a_vals, ctx.modes3), ctx.modes2,
+                ctx.frame, ctx.mollifiers, config)
+            factor = charges[j] / config.c_light
+            row_y[j] += factor * (-value + th * (grad_x @ disp[j]))
+            row_Y += factor * th * (disp[j] @ grad_a)
+        out[pos, :3 * n] = row_y.reshape(-1)
+        out[pos, 3 * n:] = row_Y
+    return out

@@ -20,7 +20,7 @@ from boxqed.action import (
     scalar_offset_term,
     segment_action,
 )
-from boxqed.errors import ConfigError
+from boxqed.errors import ConfigError, InvariantViolation
 from boxqed.field import FieldVector, ModelContext, potential_V2
 from boxqed.coulomb import potential_V1
 
@@ -121,6 +121,18 @@ class TestAdaptiveQuadrature:
     def test_vector_valued(self):
         got = adaptive_gauss_legendre(lambda t: np.stack([t, t ** 2], axis=-1))
         assert np.allclose(got, [0.5, 1.0 / 3.0], atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        calls = []
+
+        def integrand(t):
+            calls.append(len(t))
+            return np.where(t > 0.9, bad, t)
+
+        with pytest.raises(InvariantViolation, match="not finite"):
+            adaptive_gauss_legendre(integrand, max_depth=4)
+        assert calls == [16]
 
 
 class TestSegmentAction:

@@ -139,6 +139,18 @@ class TestPotentialV1:
                 assert grad[j, m] == pytest.approx(fd, abs=5e-8)
 
 
+    def test_batch_matches_single_configurations(self, unit_ctx):
+        config, modes = unit_ctx
+        xs = np.random.default_rng(6).uniform(-2.0, 2.0, size=(4, 3, 3))
+        e = (1.0, -0.7, 0.4)
+        energies = potential_V1(xs, e, modes, config)
+        grads = v1_gradient(xs, e, modes, config)
+        assert energies.shape == (4,) and grads.shape == xs.shape
+        for x, energy, grad in zip(xs, energies, grads):
+            assert energy == pytest.approx(potential_V1(x, e, modes, config), rel=1e-13)
+            assert np.allclose(grad, v1_gradient(x, e, modes, config), rtol=1e-13, atol=0.0)
+
+
 class TestLatticeSummand:
     def test_valid_summand_passes(self):
         inverse_quartic_summand().validate()

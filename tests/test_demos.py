@@ -1,0 +1,21 @@
+"""Smoke test: the demos that drive the batched kernels end to end exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["step_stability.py", "action_bookkeeping.py"])
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part)
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                            cwd=ROOT, env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -256,6 +256,50 @@ class TestTildeA:
             assert np.allclose(grad_a[:, flat], fd, atol=5e-7)
 
 
+    def test_batch_matches_single_point_calls(self):
+        config = SimulationConfig(
+            L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
+        )
+        ctx = ModelContext.from_config(config)
+        rng = np.random.default_rng(31)
+        xs = rng.uniform(-2.0, 2.0, size=(2, 3, 3))
+        values = rng.standard_normal((2, 3, 4 * ctx.modes3.N))
+        args = (ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
+        batch = tilde_A_with_derivatives(xs, FieldVector(values, ctx.modes3), *args)
+        assert [part.shape for part in batch] == [
+            (2, 3, 3), (2, 3, 3, 3), (2, 3, 3, 4 * ctx.modes3.N)]
+        for idx in np.ndindex(2, 3):
+            single = tilde_A_with_derivatives(
+                xs[idx], FieldVector(values[idx], ctx.modes3), *args)
+            for got, want in zip(batch, single):
+                assert np.max(np.abs(got[idx] - want)) <= 1e-12 * np.max(np.abs(want))
+        # a single point broadcasts against a batch of field values
+        shared = tilde_A_with_derivatives(xs[0, 0], FieldVector(values[0], ctx.modes3), *args)
+        for got, want in zip(shared, batch):
+            assert got.shape == want[0].shape
+        assert np.allclose(shared[0][0], batch[0][0, 0], rtol=1e-12, atol=0.0)
+        via_context, _, _ = ctx.tilde_A(xs, values, need_x=False, need_a=False)
+        assert np.array_equal(via_context, batch[0])
+
+    def test_batched_grad_x_matches_central_differences(self):
+        config = SimulationConfig(
+            L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
+        )
+        ctx = ModelContext.from_config(config)
+        rng = np.random.default_rng(37)
+        xs = rng.uniform(-2.0, 2.0, size=(6, 3))
+        vec = FieldVector(rng.standard_normal((6, 4 * ctx.modes3.N)), ctx.modes3)
+        args = (ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
+        _, grad_x, _ = tilde_A_with_derivatives(xs, vec, *args)
+        h = 1e-6
+        for m in range(3):
+            step = np.zeros(3)
+            step[m] = h
+            fd = (reconstruct_tilde_A(xs + step, vec, *args)
+                  - reconstruct_tilde_A(xs - step, vec, *args)) / (2.0 * h)
+            assert np.allclose(grad_x[:, m, :], fd, atol=5e-7)
+
+
 class TestPotentialV2:
     def one_mode_ctx(self):
         config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI))
@@ -302,6 +346,20 @@ class TestPotentialV2:
             fd = (potential_V2(up, ctx.modes3, config)
                   - potential_V2(down, ctx.modes3, config)) / (2.0 * h)
             assert grad[flat] == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+
+    def test_batch_matches_single_points(self):
+        config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1))
+        ctx = ModelContext.from_config(config)
+        values = np.random.default_rng(47).standard_normal((5, 4 * ctx.modes3.N))
+        batch = FieldVector(values, ctx.modes3)
+        energies = potential_V2(batch, ctx.modes3, config)
+        gradients = v2_gradient(batch, config)
+        assert energies.shape == (5,) and gradients.shape == values.shape
+        for row, energy, gradient in zip(values, energies, gradients):
+            single = FieldVector(row, ctx.modes3)
+            assert energy == potential_V2(single, ctx.modes3, config)
+            assert np.array_equal(gradient, v2_gradient(single, config))
 
 
 class TestModelContext:

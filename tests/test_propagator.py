@@ -35,7 +35,8 @@ from boxqed.propagator import (
     rho_star_search,
     xi_mode_factor,
 )
-from oracles import step_matrix_by_quadrature
+from boxqed.propagator import _earlier_integrand
+from oracles import looped_earlier_integrand, step_matrix_by_quadrature
 
 TWO_PI = 2.0 * math.pi
 BOX = (TWO_PI, TWO_PI, TWO_PI)
@@ -433,6 +434,45 @@ class TestPhiMaps:
         coupled = one_mode_ctx(1, charges=(1.0,), masses=(1.0,), coupled=True)
         with pytest.raises(ConfigError, match="particle endpoints"):
             phi_maps(0.3, 0.0, None, None, None, X, X, X, coupled)
+
+
+def _charged_ctx(modes3, charge=20.0):
+    config = SimulationConfig(L=BOX, n_particles=1, masses=(1.0,),
+                              charges=(charge,), sigma_psi=1e6)
+    return ModelContext.custom(config, EMPTY, ONE_MODE, modes3)
+
+
+def _two_particle_ctx():
+    config = SimulationConfig(L=BOX, M=(1, 1, 1), n_particles=2,
+                              masses=(1.0, 2.0), charges=(1.0, -0.5),
+                              sigma_psi=0.8, width_g=2.0)
+    return ModelContext.from_config(config)
+
+
+class TestEarlierIntegrand:
+    """The batched theta integrand against the per-node loop it replaced."""
+
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: _charged_ctx(ONE_MODE),
+        _two_particle_ctx,
+        lambda: _charged_ctx(ModeSet.from_s_triples([(0, 0, 1), (0, 0, 2)], BOX)),
+    ], ids=["criterion8-one-mode", "two-particle-v1", "two-mode-large"])
+    def test_matches_looped_oracle(self, make_ctx):
+        ctx = make_ctx()
+        n = ctx.config.n_particles
+        rng = np.random.default_rng(17)
+        z, y = (rng.uniform(-0.5 * TWO_PI, 0.5 * TWO_PI, size=(n, 3)) for _ in range(2))
+        Z, Y = (rng.standard_normal(ctx.n_field) for _ in range(2))
+        rho = 0.6
+        if ctx.modes1.N:
+            assert n >= 2, "the V1 branch needs two particles"
+        integrand = _earlier_integrand(rho, z, y, Z, Y, ctx)
+        for thetas in (0.5 + 0.5 * np.polynomial.legendre.leggauss(16)[0],
+                       rng.uniform(0.0, 1.0, size=5), np.array([0.0, 1.0])):
+            got = integrand(thetas)
+            want = looped_earlier_integrand(thetas, rho, z, y, Z, Y, ctx)
+            assert got.shape == want.shape == (len(thetas), 3 * n + ctx.n_field)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRhoStarSearch:
