@@ -341,15 +341,17 @@ def _shift_matrices(waves: np.ndarray, s) -> tuple:
     return (plus + minus) / 2.0, (plus - minus) / 2.0j
 
 
-def _check_flat_g(ctx: ModelContext) -> None:
+def _check_flat_g(ctx: ModelContext,
+                  user: str = "the spectral particle representation") -> None:
+    """Raise unless g stays within 1e-8 of one at every corner of the box."""
     box = np.asarray(ctx.config.L)
     corners = 0.5 * box * np.array(
         [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     drift = max(abs(ctx.mollifiers.g(c) - 1.0) for c in corners)
     if drift > 1e-8:
         raise ConfigError(
-            "the spectral particle representation needs an effectively flat "
-            f"spatial cutoff; g drifts by {drift:.3e} over the box "
+            f"{user} needs an effectively flat spatial cutoff; "
+            f"g drifts by {drift:.3e} over the box "
             f"(width_g={ctx.mollifiers.width_g:g})"
         )
 

@@ -35,8 +35,12 @@ from boxqed.propagator import (
     rho_star_search,
     xi_mode_factor,
 )
-from boxqed.propagator import _earlier_integrand
-from oracles import looped_earlier_integrand, step_matrix_by_quadrature
+from boxqed.propagator import _earlier_integrand, _galerkin_matrix
+from oracles import (
+    einsum_galerkin_matrix,
+    looped_earlier_integrand,
+    step_matrix_by_quadrature,
+)
 
 TWO_PI = 2.0 * math.pi
 BOX = (TWO_PI, TWO_PI, TWO_PI)
@@ -660,6 +664,36 @@ class TestGalerkinBackend:
             StepBackend("galerkin", basis, ctx, wave_cutoff=7)
         with pytest.raises(ConfigError, match="pair"):
             StepBackend("galerkin", basis, ctx, transverse=(0,))
+
+    @pytest.mark.parametrize("charge, cap, transverse, rho, x3_nodes", [
+        (0.9, 2, (0, 0), 0.5, 32),
+        # small steps widen the Fresnel grid; fewer x3 nodes keep the
+        # einsum oracle quick
+        (0.9, 2, (0, 0), 1.0 / 16.0, 8),
+        # transverse momentum makes the two polarization blocks differ
+        (0.9, 1, (1, 0), 0.5, 32),
+        (0.0, 2, (0, 0), 0.5, 32),
+    ])
+    def test_matches_einsum_assembly(self, charge, cap, transverse, rho,
+                                     x3_nodes):
+        _, ctx, basis = galerkin_parts(charge, cap=cap)
+        backend = StepBackend("galerkin", basis, ctx, transverse=transverse,
+                              x3_nodes=x3_nodes)
+        matrix = _galerkin_matrix(backend, rho)
+        expected = einsum_galerkin_matrix(backend, rho)
+        assert matrix.shape == expected.shape
+        scale = np.abs(expected).max()
+        assert np.abs(matrix - expected).max() <= 1e-12 * scale
+
+    def test_step_cache_follows_knobs(self):
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx, eps=4e-3)
+        backend.step_operator(0.5)
+        backend.eps = 4e-2
+        fresh = StepBackend("galerkin", basis, ctx, eps=4e-2)
+        expected = fresh.step_operator(0.5).matrix
+        matrix = backend.step_operator(0.5).matrix
+        assert np.abs(matrix - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_budget_guards(self):
         config, ctx, basis = galerkin_parts(0.9)
