@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.signal import fftconvolve
+from scipy import fft, integrate
 
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .lattice import ModeSet, SimulationConfig
@@ -162,19 +161,47 @@ def _slab_contributions(box: np.ndarray, radius: float, eval_fn, budget: int,
     return np.concatenate(pieces), kept
 
 
+def _round_to_integers(values: np.ndarray) -> np.ndarray:
+    """Round a transform output that must be integral, refusing if any entry
+    (or a NaN) is more than 1e-3 from an integer."""
+    rounded = np.rint(values)
+    drift = float(np.max(np.abs(values - rounded), initial=0.0))
+    if not drift <= 1e-3:
+        raise InvariantViolation(
+            f"integer table drifted {drift:.3g} from the nearest integers"
+        )
+    return rounded
+
+
+# Largest three-squares table built so far, read-only; smaller requests are
+# served as its prefix.
+_R3_TABLE = np.zeros(0)
+
+
 def _three_squares_counts(n_max: int) -> np.ndarray:
     """Counts of integer triples with s1^2+s2^2+s3^2 = n for n = 0..n_max.
 
-    Cube of the one-dimensional square-counting sequence, computed with FFT
-    convolutions and rounded back to exact integers.
+    Cube of the truncated theta series sum_s q^(s^2), taken with one real FFT
+    padded to at least 3 n_max + 1 so the kept entries carry no circular
+    aliasing, then rounded back to exact integers.  The table is kept for
+    the process and returned as a read-only prefix view.
     """
-    theta = np.zeros(n_max + 1)
-    theta[0] = 1.0
-    squares = np.arange(1, math.isqrt(n_max) + 1) ** 2
-    theta[squares] = 2.0
-    two = fftconvolve(theta, theta)[: n_max + 1]
-    three = fftconvolve(two, theta)[: n_max + 1]
-    return np.rint(three)
+    global _R3_TABLE
+    table = _R3_TABLE
+    if n_max >= len(table):
+        theta = np.zeros(n_max + 1)
+        theta[0] = 1.0
+        theta[np.arange(1, math.isqrt(n_max) + 1) ** 2] = 2.0
+        size = fft.next_fast_len(3 * n_max + 1, real=True)
+        spectrum = fft.rfft(theta, n=size)
+        del theta   # each full-length buffer goes before the next is made
+        np.power(spectrum, 3, out=spectrum)
+        cubed = fft.irfft(spectrum, n=size, overwrite_x=True)
+        del spectrum
+        table = _round_to_integers(cubed[: n_max + 1])
+        table.flags.writeable = False
+        _R3_TABLE = table
+    return table[: n_max + 1]
 
 
 def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
@@ -209,10 +236,9 @@ def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
                     f"radial path needs {n_max} shells at radius {radius:g}"
                 )
             counts = _three_squares_counts(n_max)
-            shells = np.arange(1, n_max + 1)
+            shells = np.flatnonzero(counts[1:]) + 1
             radii = step * np.sqrt(shells)
-            contributions = counts[1:] * np.asarray(summand.radial_fn(radii), dtype=float)
-            contributions = contributions[counts[1:] > 0]
+            contributions = counts[shells] * np.asarray(summand.radial_fn(radii), dtype=float)
             n_points = int(np.sum(counts[1:]))
         else:
             contributions, n_points = _slab_contributions(

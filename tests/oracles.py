@@ -8,6 +8,7 @@ of vectorized sums) so agreement is meaningful.
 import math
 
 import numpy as np
+from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from boxqed.coulomb import v1_gradient
@@ -284,3 +285,18 @@ def einsum_galerkin_matrix(backend, rho):
     rich = global_phase * rich.reshape(W, W, flat, flat)
     matrix = np.transpose(rich, (2, 0, 3, 1)).reshape(flat * W, flat * W)
     return matrix
+
+
+def fftconvolve_three_squares_counts(n_max: int) -> np.ndarray:
+    """Counts of integer triples with s1^2+s2^2+s3^2 = n for n = 0..n_max.
+
+    Cube of the one-dimensional square-counting sequence, computed with FFT
+    convolutions and rounded back to exact integers.
+    """
+    theta = np.zeros(n_max + 1)
+    theta[0] = 1.0
+    squares = np.arange(1, math.isqrt(n_max) + 1) ** 2
+    theta[squares] = 2.0
+    two = fftconvolve(theta, theta)[: n_max + 1]
+    three = fftconvolve(two, theta)[: n_max + 1]
+    return np.rint(three)

@@ -1,13 +1,17 @@
 """Cutoff Coulomb energy, lattice Riemann sums, and the mollified limit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from boxqed import SimulationConfig, build_mode_set
+from boxqed import SimulationConfig, build_mode_set, coulomb
 from boxqed.coulomb import (
     LatticeSummand,
     continuum_coulomb_oracle,
@@ -19,7 +23,7 @@ from boxqed.coulomb import (
 )
 from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 
-from oracles import screened_coulomb_total
+from oracles import fftconvolve_three_squares_counts, screened_coulomb_total
 
 TWO_PI = 2.0 * math.pi
 FROZEN_V1 = 22.0 / (3.0 * math.pi ** 2)
@@ -242,6 +246,66 @@ class TestRiemannSum:
                 # of the excess; past that the single-site bound holds.
                 assert result.value - integral >= site_bound
         assert excesses[0] > 0 and excesses[0] < excesses[1] < excesses[2]
+
+
+class TestThreeSquaresTable:
+    def test_matches_brute_force_cube(self):
+        # every representation of n <= 1600 has |s_i| <= 40
+        s = np.arange(-40, 41)
+        norms = (s[:, None, None] ** 2 + s[None, :, None] ** 2
+                 + s[None, None, :] ** 2).ravel()
+        brute = np.bincount(norms)[:1601]
+        assert np.array_equal(coulomb._three_squares_counts(1600), brute)
+
+    def test_matches_two_convolution_route_exactly(self):
+        n_max = 262144
+        table = coulomb._three_squares_counts(n_max)
+        old = fftconvolve_three_squares_counts(n_max)
+        assert table.dtype == old.dtype
+        assert np.array_equal(table, old)
+        # rint keeps the sign of a tiny negative, so the two routes may put
+        # -0.0 and 0.0 at different empty shells; every other bit agrees
+        differ = table.view(np.int64) != old.view(np.int64)
+        assert np.all(table[differ] == 0.0)
+
+    def test_prefix_of_cached_table_equals_fresh_build(self, monkeypatch):
+        coulomb._three_squares_counts(65536)
+        prefix = coulomb._three_squares_counts(5000)
+        assert np.shares_memory(prefix, coulomb._R3_TABLE)
+        monkeypatch.setattr(coulomb, "_R3_TABLE", np.zeros(0))
+        fresh = coulomb._three_squares_counts(5000)
+        assert len(coulomb._R3_TABLE) == 5001
+        assert np.array_equal(prefix, fresh)
+
+    def test_table_is_read_only(self):
+        table = coulomb._three_squares_counts(100)
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+
+    def test_rounding_guard_rejects_drift(self):
+        values = np.array([1.0, 6.0 + 1e-9, 12.0 - 2e-4, 8.0])
+        assert np.array_equal(coulomb._round_to_integers(values),
+                              [1.0, 6.0, 12.0, 8.0])
+        values[2] += 0.3
+        with pytest.raises(InvariantViolation):
+            coulomb._round_to_integers(values)
+        with pytest.raises(InvariantViolation):
+            coulomb._round_to_integers(np.array([1.0, np.nan]))
+
+    def test_riemann_value_unchanged_from_convolution_route(self):
+        # Recorded with the two-fftconvolve table and all-shell evaluation.
+        value = riemann_sum(inverse_quartic_summand(), 30.0).value
+        assert repr(value) == "17.852232104465006"
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        code = "import sys, boxqed; print('scipy.signal' in sys.modules)"
+        src = str(Path(coulomb.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestMollifiedCoulomb:

@@ -1,4 +1,4 @@
-"""Smoke test: the demos that run in a few seconds exit 0."""
+"""Smoke test: every demo exits 0."""
 
 import os
 import subprocess
@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# coulomb_box_limit.py (about 7 s) and riemann_box_shapes.py are left out to
-# keep the suite quick.
+# riemann_box_shapes.py (about 11 s) and coulomb_box_limit.py (about 7 s) are
+# the slowest; the rest take a few seconds each.
 @pytest.mark.parametrize("demo", [
     "step_stability.py",
     "action_bookkeeping.py",
@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
     "photon_ladder_tour.py",
     "field_reconstruction.py",
     "offset_damped_step.py",
+    "riemann_box_shapes.py",
+    "coulomb_box_limit.py",
 ])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
