@@ -174,7 +174,9 @@ def _round_to_integers(values: np.ndarray) -> np.ndarray:
 
 
 # Largest three-squares table built so far, read-only; smaller requests are
-# served as its prefix.
+# served as its prefix.  A cube's radius doublings ask for about 64 * 4^k
+# shells whatever the edge, so every request inside one riemann_sum outgrows
+# the table, and a later box reuses it for its doublings up to that size.
 _R3_TABLE = np.zeros(0)
 
 
@@ -183,8 +185,9 @@ def _three_squares_counts(n_max: int) -> np.ndarray:
 
     Cube of the truncated theta series sum_s q^(s^2), taken with one real FFT
     padded to at least 3 n_max + 1 so the kept entries carry no circular
-    aliasing, then rounded back to exact integers.  The table is kept for
-    the process and returned as a read-only prefix view.
+    aliasing, then rounded back to exact integers.  The largest table is
+    kept for the process; a request it covers is a read-only prefix view of
+    it, and a larger one builds a new table from n = 0.
     """
     global _R3_TABLE
     table = _R3_TABLE
