@@ -14,7 +14,6 @@ from .lattice import (
     WaveVector,
     build_mode_set,
     build_polarization,
-    modes_to_csv,
 )
 from .field import FieldVector, ModelContext
 from .coulomb import (
@@ -53,7 +52,6 @@ __all__ = [
     "WaveVector",
     "build_mode_set",
     "build_polarization",
-    "modes_to_csv",
     "FieldVector",
     "ModelContext",
     "LatticeSummand",

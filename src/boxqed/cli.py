@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,19 +34,18 @@ from .lattice import (
     SimulationConfig,
     build_mode_set,
     build_polarization,
-    modes_to_csv,
 )
-from .action import segment_action, Subdivision
+from .action import segment_action
 from .propagator import (
     StepBackend,
-    compose,
     convergence_study,
-    fit_growth_rate,
     fundamental_step,
     g_epsilon_extrapolated,
+    g_epsilon_levels,
     g_epsilon_step,
     residual_study,
     rho_star_search,
+    sample_endpoints,
 )
 
 
@@ -60,6 +58,8 @@ def _ints(text):
 
 
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.17g" % float(value)
@@ -76,15 +76,6 @@ def _sha256(path):
     digest = hashlib.sha256()
     digest.update(Path(path).read_bytes())
     return digest.hexdigest()
-
-
-def _map_ordered(fn, items, jobs):
-    """Apply fn over items, optionally in a thread pool, preserving order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _mode_set(triple, config):
@@ -107,18 +98,23 @@ def _exact_spectrum_reference(basis, f, horizon, hbar):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: params dict in, (output file names, summary) out
+# Subcommand handlers: params dict in, ({file name: (header, rows)}, summary)
+# out; _execute writes every table
 # ---------------------------------------------------------------------------
 
-def _run_modes(params, config, out, seed, jobs):
+def _run_modes(params, config, seed):
     modes = build_mode_set(config, 3)
     frame = build_polarization(modes)
-    modes_to_csv(modes, frame, out / "modes.csv")
+    rows = []
+    for wv in modes.lam:
+        e1, e2 = frame.e(wv)
+        rows.append((*wv.s, *wv.k, *e1, *e2, int(modes.contains_prime(wv.s))))
     counts = {f"N{i}": build_mode_set(config, i).N for i in (1, 2, 3)}
-    return ["modes.csv"], counts
+    return {"modes.csv": (
+        "s1,s2,s3,k1,k2,k3,e1x,e1y,e1z,e2x,e2y,e2z,in_prime", rows)}, counts
 
 
-def _run_coulomb_limit(params, config, out, seed, jobs):
+def _run_coulomb_limit(params, config, seed):
     d = np.asarray(params["separation"], dtype=float)
     dist = float(np.linalg.norm(d))
     if dist == 0.0:
@@ -131,10 +127,9 @@ def _run_coulomb_limit(params, config, out, seed, jobs):
                                       float(eps))
             target = float(erf(dist / (2.0 * eps))) / dist
             rows.append((box, eps, value, target, abs(value - target)))
-    _write_csv(out / "coulomb_limit.csv",
-               "box_L,eps,lattice_sum,screened_target,abs_error", rows)
-    return ["coulomb_limit.csv"], {"rows": len(rows),
-                                   "final_abs_error": rows[-1][4]}
+    return {"coulomb_limit.csv": (
+        "box_L,eps,lattice_sum,screened_target,abs_error", rows)}, {
+        "rows": len(rows), "final_abs_error": rows[-1][4]}
 
 
 def _inverse_quartic_summand():
@@ -165,7 +160,7 @@ def _screened_inverse_square_summand():
     )
 
 
-def _run_riemann(params, config, out, seed, jobs):
+def _run_riemann(params, config, seed):
     summand = _inverse_quartic_summand()
     rows = []
     for edge in params["box_levels"]:
@@ -182,45 +177,35 @@ def _run_riemann(params, config, out, seed, jobs):
         rows.append((box[0], box[1], box[2], result.value, result.tail_bound,
                      result.n_points,
                      result.value - screened.analytic_limit))
-    _write_csv(out / "riemann.csv",
-               "L1,L2,L3,lattice_sum,tail_bound,n_points,error_vs_integral",
-               rows)
-    return ["riemann.csv"], {
+    return {"riemann.csv": (
+        "L1,L2,L3,lattice_sum,tail_bound,n_points,error_vs_integral", rows)}, {
         "cube_limit": summand.analytic_limit,
         "anisotropic_limit": screened.analytic_limit,
         "final_cube_error": rows[len(params["box_levels"]) - 1][6],
     }
 
 
-def _run_fock_spectrum(params, config, out, seed, jobs):
+def _run_fock_spectrum(params, config, seed):
     modes = _mode_set(params["mode"], config)
     basis = OscillatorBasis(modes, params["cap"], hbar=config.hbar,
                             c_light=config.c_light, volume=config.volume)
     energies = h_rad(basis).matrix.diagonal().real
     levels, counts = np.unique(energies, return_counts=True)
     rows = [(energy, int(count)) for energy, count in zip(levels, counts)]
-    _write_csv(out / "fock_spectrum.csv", "energy,multiplicity", rows)
-    return ["fock_spectrum.csv"], {"dim": basis.dim, "levels": len(rows)}
+    return {"fock_spectrum.csv": ("energy,multiplicity", rows)}, {
+        "dim": basis.dim, "levels": len(rows)}
 
 
-def _run_action_eval(params, config, out, seed, jobs):
+def _run_action_eval(params, config, seed):
     ctx = ModelContext.from_config(config)
     rng = np.random.default_rng(seed)
-    box = np.asarray(config.L, dtype=float)
-    omegas = np.repeat([config.c_light * wv.norm
-                        for wv in ctx.modes3.lam_prime], 4)
-    a_scale = np.sqrt(config.hbar * config.volume / omegas) \
-        if len(omegas) else np.zeros(0)
     t, s = params["t"], params["s"]
     rows = []
     for index in range(params["samples"]):
-        x, y = (rng.uniform(-0.5 * box, 0.5 * box,
-                            size=(config.n_particles, 3)) for _ in range(2))
-        X, Y = (rng.normal(scale=a_scale) if len(a_scale) else np.zeros(0)
-                for _ in range(2))
+        (x, y), (X, Y) = sample_endpoints(rng, ctx, 2)
         rows.append((index, t, s, segment_action(t, s, x, y, X, Y, ctx)))
-    _write_csv(out / "action_eval.csv", "sample,t,s,action", rows)
-    return ["action_eval.csv"], {"samples": len(rows)}
+    return {"action_eval.csv": ("sample,t,s,action", rows)}, {
+        "samples": len(rows)}
 
 
 def _propagate_backend(params, config):
@@ -240,7 +225,7 @@ def _propagate_backend(params, config):
     return StepBackend("analytic-quadratic", basis, ctx), basis, ctx
 
 
-def _run_propagate(params, config, out, seed, jobs):
+def _run_propagate(params, config, seed):
     backend, basis, ctx = _propagate_backend(params, config)
     horizon = params["horizon"]
     if params["backend"] == "galerkin":
@@ -256,30 +241,17 @@ def _run_propagate(params, config, out, seed, jobs):
     else:
         f = _field_state(basis, seed)
         reference = _exact_spectrum_reference(basis, f, horizon, config.hbar)
-
-    def run_mesh(segments):
-        return convergence_study(f, backend, horizon, [segments], reference)
-
-    studies = _map_ordered(run_mesh, params["segments"], jobs)
-    rows = [study.rows[0] for study in studies]
-    errors = [err for _, err in rows]
-    orders = [math.log(e0 / e1) / math.log(s1 / s0)
-              for (s0, e0), (s1, e1) in zip(rows, rows[1:])
-              if e0 > 0.0 and e1 > 0.0]
-    _write_csv(out / "propagate.csv", "segments,relative_error", rows)
-    _, norms = compose(f, Subdivision.uniform(horizon, int(params["segments"][-1])),
-                       backend, collect_norms=True)
-    times = np.linspace(horizon / params["segments"][-1], horizon,
-                        int(params["segments"][-1]))
-    return ["propagate.csv"], {
-        "monotone": all(b < a for a, b in zip(errors, errors[1:])),
-        "orders": orders,
-        "final_relative_error": errors[-1],
-        "growth_rate": fit_growth_rate(times, norms),
+    study = convergence_study(f, backend, horizon, params["segments"],
+                              reference)
+    return {"propagate.csv": ("segments,relative_error", study.rows)}, {
+        "monotone": study.monotone,
+        "orders": list(study.orders),
+        "final_relative_error": study.final_error,
+        "growth_rate": study.growth_rate,
     }
 
 
-def _run_residual(params, config, out, seed, jobs):
+def _run_residual(params, config, seed):
     if config.n_particles != 0:
         raise ConfigError("the residual study runs on field-only "
                           "configurations; set n_particles = 0")
@@ -289,34 +261,27 @@ def _run_residual(params, config, out, seed, jobs):
                             c_light=config.c_light, volume=config.volume)
     ctx = ModelContext.custom(config, empty, empty, modes)
     backend = StepBackend("analytic-quadratic", basis, ctx)
-    f = _field_state(basis, seed)
-
-    def run_rho(rho):
-        return residual_study(f, backend, [rho],
-                              dt_factor=params["dt_factor"]).rows[0]
-
-    rows = _map_ordered(run_rho, params["rho_list"], jobs)
-    logs = [(math.log(rho), math.log(res)) for rho, _, res in rows if res > 0]
-    slope = float(np.polyfit(*zip(*logs), 1)[0]) if len(logs) >= 2 else math.nan
-    _write_csv(out / "residual.csv", "rho,delta,residual", rows)
-    return ["residual.csv"], {"slope": slope}
+    study = residual_study(_field_state(basis, seed), backend,
+                           params["rho_list"], dt_factor=params["dt_factor"])
+    return {"residual.csv": ("rho,delta,residual", study.rows)}, {
+        "slope": study.slope}
 
 
-def _run_rho_star(params, config, out, seed, jobs):
+def _run_rho_star(params, config, seed):
     modes = _mode_set(params["mode"], config)
     ctx = ModelContext.custom(config, _empty_modes(config), modes, modes)
     result = rho_star_search(config, params["sample_budget"],
                              ceiling=params["ceiling"], seed=seed, ctx=ctx,
                              bisect_iters=params["bisect_iters"])
-    result.to_csv(out / "rho_star.csv")
-    return ["rho_star.csv"], {
+    rows = [(rho, det, int(ok)) for rho, det, ok in result.probes]
+    return {"rho_star.csv": ("rho,min_det,passed", rows)}, {
         "rho_star": result.value,
         "ceiling_hit": result.ceiling_hit,
         "min_det_at_value": result.min_det_at_value,
     }
 
 
-def _run_g_equivalence(params, config, out, seed, jobs):
+def _run_g_equivalence(params, config, seed):
     if config.n_particles != 0:
         raise ConfigError("the offset-step comparison runs on field-only "
                           "configurations; set n_particles = 0")
@@ -329,22 +294,15 @@ def _run_g_equivalence(params, config, out, seed, jobs):
     f = _field_state(basis, seed)
     t = params["t"]
     plain = fundamental_step(f, t, 0.0, backend).coefficients
-    a_min = min(t * wv.norm**2 / (4.0 * math.pi * config.hbar * config.volume)
-                for wv in ctx.modes1.lam_prime)
-    eps0 = math.sqrt(0.01 * a_min)
     rows = []
-    for eps in (eps0, eps0 / math.sqrt(2.0), eps0 / 2.0):
+    for eps in g_epsilon_levels(t, backend):
         damped = g_epsilon_step(f, t, 0.0, eps, backend).coefficients
         rows.append(("damped", eps, float(np.abs(damped - plain).max())))
     extrap = g_epsilon_extrapolated(f, t, 0.0, backend).coefficients
     deviation = float(np.abs(extrap - plain).max())
     rows.append(("extrapolated", 0.0, deviation))
-    with open(out / "g_equivalence.csv", "w", encoding="utf-8",
-              newline="\n") as handle:
-        handle.write("stage,eps,max_deviation\n")
-        for stage, eps, dev in rows:
-            handle.write(f"{stage},{_fmt(eps)},{_fmt(dev)}\n")
-    return ["g_equivalence.csv"], {"extrapolated_deviation": deviation}
+    return {"g_equivalence.csv": ("stage,eps,max_deviation", rows)}, {
+        "extrapolated_deviation": deviation}
 
 
 _HANDLERS = {
@@ -360,20 +318,21 @@ _HANDLERS = {
 }
 
 
-def _execute(subcommand, params, config, out_dir, seed, jobs):
+def _execute(subcommand, params, config, out_dir, seed):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    outputs, summary = _HANDLERS[subcommand](params, config, out, seed, jobs)
+    tables, summary = _HANDLERS[subcommand](params, config, seed)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     manifest = {
         "tool": "boxqed",
         "version": __version__,
         "subcommand": subcommand,
         "seed": seed,
-        "jobs": jobs,
         "config": config.as_dict(),
         "params": params,
-        "outputs": {name: _sha256(out / name) for name in outputs},
+        "outputs": {name: _sha256(out / name) for name in tables},
         "summary": summary,
         "elapsed_seconds": time.perf_counter() - started,
     }
@@ -387,7 +346,7 @@ def _execute(subcommand, params, config, out_dir, seed, jobs):
 def _run_rerun(args):
     with open(args.manifest, "r", encoding="utf-8") as handle:
         recorded = json.load(handle)
-    for key in ("subcommand", "config", "params", "outputs", "seed", "jobs"):
+    for key in ("subcommand", "config", "params", "outputs", "seed"):
         if key not in recorded:
             raise ConfigError(f"manifest lacks the {key!r} field")
     if recorded["subcommand"] not in _HANDLERS:
@@ -395,7 +354,7 @@ def _run_rerun(args):
             f"manifest names unknown subcommand {recorded['subcommand']!r}")
     config = SimulationConfig.from_mapping(recorded["config"])
     manifest = _execute(recorded["subcommand"], recorded["params"], config,
-                        args.out, recorded["seed"], recorded["jobs"])
+                        args.out, recorded["seed"])
     mismatched = [
         name for name, digest in recorded["outputs"].items()
         if manifest["outputs"].get(name) != digest
@@ -421,8 +380,6 @@ def _add_common(sub):
                      help="plain-text key = value configuration file")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="thread count for studies that sweep a parameter")
 
 
 def build_parser():
@@ -566,10 +523,8 @@ def main(argv=None) -> int:
             return _run_rerun(args)
         config = SimulationConfig.from_file(args.config) if args.config \
             else SimulationConfig()
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
         manifest = _execute(args.subcommand, _params_from_args(args), config,
-                            args.out, args.seed, args.jobs)
+                            args.out, args.seed)
         names = ", ".join(sorted(manifest["outputs"]))
         print(f"{args.subcommand}: wrote {names} and manifest.json "
               f"to {args.out}")

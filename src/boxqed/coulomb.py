@@ -208,8 +208,7 @@ def _three_squares_counts(n_max: int) -> np.ndarray:
 
 
 def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
-                budget: int = int(2e8), method: str = "auto",
-                shuffle_seed: Optional[int] = None) -> RiemannResult:
+                budget: int = int(2e8), method: str = "auto") -> RiemannResult:
     """Cell-volume-weighted sum of the summand over the nonzero lattice.
 
     The truncation radius doubles until the majorant tail certificate drops
@@ -249,9 +248,6 @@ def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
                 lambda K: np.asarray(summand.phi_fn(K), dtype=float),
                 budget,
             )
-        if shuffle_seed is not None:
-            rng = np.random.default_rng(shuffle_seed)
-            contributions = rng.permutation(contributions)
         value = cellvol * _deterministic_sum(contributions)
         tail = _tail_integral(summand.bound_fn, box, radius)
         if tail <= rel_tol * max(abs(value), 1e-300):

@@ -34,7 +34,7 @@ class FieldVector:
 
     ``values`` may carry leading batch axes, shape (..., 4N), so the kernels
     can evaluate many field points in one call; ``grid`` is then
-    (..., N, 2, 2).  ``entry`` and ``to_csv`` address a single point.
+    (..., N, 2, 2).  ``entry`` addresses a single point.
     """
 
     values: np.ndarray
@@ -69,19 +69,6 @@ class FieldVector:
 
     def entry(self, l: int, s: tuple, i: int) -> float:
         return float(self.values[self.offset(l, s, i)])
-
-    def to_csv(self, path) -> None:
-        lines = ["index,l,s1,s2,s3,i,value"]
-        for idx, wv in enumerate(self.modes.lam_prime):
-            for l in (1, 2):
-                for i in (1, 2):
-                    offset = 4 * idx + 2 * (l - 1) + (i - 1)
-                    lines.append(
-                        f"{offset},{l},{wv.s[0]},{wv.s[1]},{wv.s[2]},{i},"
-                        + "%.17g" % self.values[offset]
-                    )
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

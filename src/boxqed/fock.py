@@ -123,13 +123,6 @@ class StateVector:
             raise ConfigError("cannot normalize the zero state")
         return StateVector(self.coefficients / self._norm, self.basis)
 
-    def to_csv(self, path) -> None:
-        lines = ["index,real,imag"]
-        for idx, val in enumerate(self.coefficients):
-            lines.append(f"{idx},{val.real:.17g},{val.imag:.17g}")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
-
 
 @dataclass
 class OperatorMatrix:

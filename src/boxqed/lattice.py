@@ -20,8 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 _CONFIG_KEYS = {
     "L1", "L2", "L3", "M1", "M2", "M3", "hbar", "c", "n_particles",
-    "masses", "charges", "sigma_psi", "width_g", "n_max", "particle_cap",
-    "epsilon_reg",
+    "masses", "charges", "sigma_psi", "width_g", "n_max",
 }
 
 
@@ -30,9 +29,7 @@ class SimulationConfig:
     """Box geometry, cutoffs, physical constants, mollifier and truncation knobs.
 
     ``L`` are the box edge lengths, ``M`` the three integer mode cutoffs with
-    M2 <= M3.  ``n_max`` caps the occupation number per field variable and
-    ``particle_cap`` is the half-width of the plane-wave index grid per axis.
-    ``epsilon_reg`` sets the default damping scale for oscillatory integrals.
+    M2 <= M3.  ``n_max`` caps the occupation number per field variable.
     """
 
     L: tuple[float, float, float] = (TWO_PI, TWO_PI, TWO_PI)
@@ -45,8 +42,6 @@ class SimulationConfig:
     sigma_psi: float = 50.0
     width_g: float = 1.0e6
     n_max: int = 4
-    particle_cap: int = 3
-    epsilon_reg: float = 0.1
 
     def __post_init__(self):
         self.validate()
@@ -79,10 +74,6 @@ class SimulationConfig:
             raise ConfigError("mollifier parameters sigma_psi and width_g must be positive")
         if self.n_max < 0:
             raise ConfigError("occupation cap n_max must be non-negative")
-        if self.particle_cap < 0:
-            raise ConfigError("particle_cap must be non-negative")
-        if self.epsilon_reg <= 0.0:
-            raise ConfigError("epsilon_reg must be positive")
 
     @classmethod
     def from_file(cls, path) -> "SimulationConfig":
@@ -144,8 +135,6 @@ class SimulationConfig:
                 sigma_psi=_float("sigma_psi", defaults.sigma_psi),
                 width_g=_float("width_g", defaults.width_g),
                 n_max=_int("n_max", defaults.n_max),
-                particle_cap=_int("particle_cap", defaults.particle_cap),
-                epsilon_reg=_float("epsilon_reg", defaults.epsilon_reg),
             )
         except ValueError as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
@@ -159,8 +148,7 @@ class SimulationConfig:
             "masses": ",".join("%.17g" % m for m in self.masses),
             "charges": ",".join("%.17g" % e for e in self.charges),
             "sigma_psi": self.sigma_psi, "width_g": self.width_g,
-            "n_max": self.n_max, "particle_cap": self.particle_cap,
-            "epsilon_reg": self.epsilon_reg,
+            "n_max": self.n_max,
         }
 
 
@@ -325,17 +313,3 @@ def build_polarization(modes: ModeSet) -> PolarizationFrame:
         vectors[wv.s] = (e1, e2)
         vectors[wv.negated().s] = (-e1, -e2)
     return PolarizationFrame(_vectors=vectors)
-
-
-def modes_to_csv(modes: ModeSet, frame: PolarizationFrame, path) -> None:
-    """Write the full mode set with its frame as CSV (one row per k in Lambda)."""
-    header = "s1,s2,s3,k1,k2,k3,e1x,e1y,e1z,e2x,e2y,e2z,in_prime"
-    lines = [header]
-    for wv in modes.lam:
-        e1, e2 = frame.e(wv)
-        k = wv.k
-        row = list(wv.s) + ["%.17g" % v for v in (*k, *e1, *e2)]
-        row.append("1" if modes.contains_prime(wv.s) else "0")
-        lines.append(",".join(str(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")

@@ -57,9 +57,11 @@ __all__ = [
     "PhiMapPoint",
     "phi_maps",
     "RhoStarResult",
+    "sample_endpoints",
     "rho_star_search",
     "xi_mode_factor",
     "g_epsilon_step",
+    "g_epsilon_levels",
     "g_epsilon_extrapolated",
 ]
 
@@ -387,25 +389,29 @@ class ConvergenceStudy:
     orders: tuple            # observed order between consecutive rows
     monotone: bool
     final_error: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("segments,relative_error\n")
-            for segs, err in self.rows:
-                handle.write(f"{segs},{err:.17g}\n")
+    growth_rate: Optional[float]   # fit on the finest mesh; None for one step
 
 
 def convergence_study(f: StateVector, backend: StepBackend, horizon: float,
                       segment_counts, reference) -> ConvergenceStudy:
-    """Compose over uniform meshes and compare against a reference state."""
+    """Compose over uniform meshes and compare against a reference state.
+
+    The composed norms of the finest mesh also give the growth constant of
+    ``fit_growth_rate``, which needs at least two steps.
+    """
     ref = reference.coefficients if isinstance(reference, StateVector) \
         else np.asarray(reference, dtype=complex)
     scale = f.norm
     if scale <= 0.0:
         raise ConfigError("convergence study needs a nonzero input state")
+    finest = max(int(segs) for segs in segment_counts)
     rows = []
+    growth = None
     for segs in segment_counts:
-        out = compose(f, Subdivision.uniform(horizon, int(segs)), backend)
+        sub = Subdivision.uniform(horizon, int(segs))
+        out, norms = compose(f, sub, backend, collect_norms=True)
+        if int(segs) == finest > 1:
+            growth = fit_growth_rate(sub.times[1:], norms)
         rows.append((int(segs), float(np.linalg.norm(out.coefficients - ref))
                      / scale))
     orders = []
@@ -413,7 +419,8 @@ def convergence_study(f: StateVector, backend: StepBackend, horizon: float,
         if e0 > 0.0 and e1 > 0.0 and s1 != s0:
             orders.append(math.log(e0 / e1) / math.log(s1 / s0))
     monotone = all(e1 < e0 for (_, e0), (_, e1) in zip(rows, rows[1:]))
-    return ConvergenceStudy(tuple(rows), tuple(orders), monotone, rows[-1][1])
+    return ConvergenceStudy(tuple(rows), tuple(orders), monotone, rows[-1][1],
+                            growth)
 
 
 @dataclass(frozen=True)
@@ -422,12 +429,6 @@ class ResidualStudy:
 
     rows: tuple              # (rho, delta, residual)
     slope: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("rho,delta,residual\n")
-            for rho, delta, res in self.rows:
-                handle.write(f"{rho:.17g},{delta:.17g},{res:.17g}\n")
 
 
 def residual_study(f: StateVector, backend: StepBackend, rho_list,
@@ -692,11 +693,26 @@ class RhoStarResult:
     def __float__(self) -> float:
         return self.value
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("rho,min_det,passed\n")
-            for rho, det, ok in self.probes:
-                handle.write(f"{rho:.17g},{det:.17g},{int(ok)}\n")
+
+def sample_endpoints(rng: np.random.Generator, ctx: ModelContext,
+                     count: int) -> tuple:
+    """Draw ``count`` particle endpoints, then ``count`` field endpoints.
+
+    Positions are uniform over the box, shape (n_particles, 3); field values
+    are Gaussian at the oscillator scale sqrt(hbar |V| / omega) per variable.
+    """
+    config = ctx.config
+    box = np.asarray(config.L, dtype=float)
+    omegas = ctx.field_frequencies()
+    a_scale = np.sqrt(config.hbar * config.volume
+                      / np.maximum(omegas, 1e-30)) if len(omegas) else \
+        np.zeros(0)
+    positions = [rng.uniform(-0.5 * box, 0.5 * box,
+                             size=(config.n_particles, 3))
+                 for _ in range(count)]
+    fields = [rng.normal(scale=a_scale) if len(a_scale) else np.zeros(0)
+              for _ in range(count)]
+    return positions, fields
 
 
 def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
@@ -717,19 +733,8 @@ def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
         raise ConfigError("the search ceiling must be positive")
     if ctx is None:
         ctx = ModelContext.from_config(config)
-    n = config.n_particles
     rng = np.random.default_rng(seed)
-    box = np.asarray(config.L, dtype=float)
-    omegas = ctx.field_frequencies()
-    a_scale = np.sqrt(config.hbar * config.volume
-                      / np.maximum(omegas, 1e-30)) if len(omegas) else \
-        np.zeros(0)
-    samples = []
-    for _ in range(sample_budget):
-        pts = [rng.uniform(-0.5 * box, 0.5 * box, size=(n, 3)) for _ in range(3)]
-        fields = [rng.normal(scale=a_scale) if len(a_scale) else np.zeros(0)
-                  for _ in range(3)]
-        samples.append((pts, fields))
+    samples = [sample_endpoints(rng, ctx, 3) for _ in range(sample_budget)]
 
     probes = []
 
@@ -812,14 +817,31 @@ def g_epsilon_step(f: StateVector, t: float, s: float, eps: float,
     return StateVector(factor * stepped.coefficients, stepped.basis)
 
 
+def g_epsilon_levels(rho: float, backend: StepBackend,
+                     eps0: Optional[float] = None) -> tuple:
+    """The damping levels (eps0, eps0 / sqrt 2, eps0 / 2) of the eps -> 0 step.
+
+    The default eps0 puts the leading correction near one percent of each
+    first-cutoff mode factor, so the extrapolated remainder lands well below
+    1e-6.
+    """
+    if eps0 is None:
+        config = backend.ctx.config
+        a_min = min(
+            rho * wv.norm**2 / (4.0 * math.pi * config.hbar * config.volume)
+            for wv in backend.ctx.modes1.lam_prime
+        )
+        eps0 = math.sqrt(0.01 * a_min)
+    return eps0, eps0 / math.sqrt(2.0), eps0 / 2.0
+
+
 def g_epsilon_extrapolated(f: StateVector, t: float, s: float,
                            backend: StepBackend,
                            eps0: Optional[float] = None) -> StateVector:
     """eps -> 0 limit of g_epsilon_step by Richardson steps in eps^2.
 
-    Three levels eps^2, eps^2/2, eps^2/4 cancel the first two orders; the
-    default eps0 puts the leading correction near one percent of each mode
-    factor so the remainder lands well below 1e-6.
+    Three levels eps^2, eps^2/2, eps^2/4 from ``g_epsilon_levels`` cancel
+    the first two orders.
     """
     if t <= s:
         raise ConfigError("g_epsilon_extrapolated needs t > s")
@@ -827,16 +849,8 @@ def g_epsilon_extrapolated(f: StateVector, t: float, s: float,
     modes1 = backend.ctx.modes1
     if modes1.N == 0:
         return fundamental_step(f, t, s, backend)
-    if eps0 is None:
-        config = backend.ctx.config
-        a_min = min(
-            (t - s) * wv.norm**2 / (4.0 * math.pi * config.hbar * config.volume)
-            for wv in modes1.lam_prime
-        )
-        eps0 = math.sqrt(0.01 * a_min)
-    levels = [eps0, eps0 / math.sqrt(2.0), eps0 / 2.0]
     states = [g_epsilon_step(f, t, s, eps, backend).coefficients
-              for eps in levels]
+              for eps in g_epsilon_levels(t - s, backend, eps0)]
     combined = (states[0] - 6.0 * states[1] + 8.0 * states[2]) / 3.0
     return StateVector(combined, f.basis)
 

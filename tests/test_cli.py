@@ -24,11 +24,6 @@ class TestVersionAndParsing:
         assert info.value.code == 0
         assert "boxqed 0.1.0" in capsys.readouterr().out
 
-    def test_jobs_must_be_positive(self, tmp_path, capsys):
-        code = run(["fock-spectrum", "--out", str(tmp_path), "--jobs", "0"])
-        assert code == 2
-        assert "jobs" in capsys.readouterr().err
-
 
 class TestFockSpectrum:
     def test_one_mode_cap_two_levels(self, tmp_path):
@@ -51,7 +46,9 @@ class TestModes:
         manifest = read_manifest(tmp_path)
         assert manifest["summary"] == {"N1": 13, "N2": 13, "N3": 13}
         lines = (tmp_path / "modes.csv").read_text().strip().splitlines()
+        assert lines[0] == "s1,s2,s3,k1,k2,k3,e1x,e1y,e1z,e2x,e2y,e2z,in_prime"
         rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 13 for row in rows)
         assert len(rows) == 26            # full set, 3^3 - 1 nonzero sites
         assert sum(row[-1] == "1" for row in rows) == 13
 
@@ -64,15 +61,23 @@ class TestDeterminism:
         first = (tmp_path / "a" / "residual.csv").read_bytes()
         second = (tmp_path / "b" / "residual.csv").read_bytes()
         assert first == second
+        lines = first.decode().strip().splitlines()
+        assert lines[0] == "rho,delta,residual"
+        assert len(lines) == 4
         assert read_manifest(tmp_path / "a")["outputs"] \
             == read_manifest(tmp_path / "b")["outputs"]
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        args = ["residual", "--rho-list", "0.125,0.0625,0.03125"]
-        assert run(args + ["--out", str(tmp_path / "serial")]) == 0
-        assert run(args + ["--out", str(tmp_path / "pool"), "--jobs", "3"]) == 0
-        assert (tmp_path / "serial" / "residual.csv").read_bytes() \
-            == (tmp_path / "pool" / "residual.csv").read_bytes()
+    def test_rerun_accepts_older_manifest_fields(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["fock-spectrum", "--out", str(out)]) == 0
+        # earlier manifests carried a thread count and two unread config keys
+        older = read_manifest(out)
+        older["jobs"] = 2
+        older["config"].update(particle_cap=3, epsilon_reg=0.1)
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(older))
+        assert run(["rerun", "--manifest", str(path),
+                    "--out", str(tmp_path / "replay")]) == 0
 
     def test_rerun_reproduces_and_detects_drift(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -120,6 +125,14 @@ class TestExitCodes:
         assert code == 2
         assert "field-only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["particle_cap", "epsilon_reg"])
+    def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code = run(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown key" in capsys.readouterr().err
+
 
 class TestStudyOutputs:
     def test_propagate_summary_reports_convergence(self, tmp_path):
@@ -129,6 +142,25 @@ class TestStudyOutputs:
         assert summary["monotone"] is True
         assert min(summary["orders"]) >= 0.9
         assert summary["growth_rate"] == 0.0
+        lines = (tmp_path / "propagate.csv").read_text().strip().splitlines()
+        assert lines[0] == "segments,relative_error"
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16"]
+
+    def test_propagate_repeated_mesh_has_no_order(self, tmp_path):
+        assert run(["propagate", "--segments", "4,4",
+                    "--out", str(tmp_path)]) == 0
+        summary = read_manifest(tmp_path)["summary"]
+        assert summary["orders"] == []
+        assert summary["monotone"] is False
+
+    def test_propagate_single_mesh_reruns(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["propagate", "--segments", "1", "--out", str(out)]) == 0
+        summary = read_manifest(out)["summary"]
+        assert summary["growth_rate"] is None
+        assert summary["orders"] == []
+        assert run(["rerun", "--manifest", str(out / "manifest.json"),
+                    "--out", str(tmp_path / "replay")]) == 0
 
     def test_action_eval_writes_requested_samples(self, tmp_path):
         assert run(["action-eval", "--samples", "3",
@@ -144,6 +176,12 @@ class TestStudyOutputs:
         summary = read_manifest(tmp_path)["summary"]
         assert summary["ceiling_hit"] is True
         assert summary["rho_star"] == 1.0
+        lines = (tmp_path / "rho_star.csv").read_text().strip().splitlines()
+        assert lines[0] == "rho,min_det,passed"
+        assert len(lines) == 2            # the ceiling probe passed at once
+        rho, det, passed = lines[1].split(",")
+        assert (float(rho), float(det), passed) \
+            == (1.0, summary["min_det_at_value"], "1")
 
     def test_g_equivalence_hits_tolerance(self, tmp_path):
         assert run(["g-equivalence", "--out", str(tmp_path)]) == 0

@@ -213,8 +213,13 @@ class TestRiemannSum:
     def test_shuffled_enumeration_identical(self):
         summand = gaussian_summand()
         plain = riemann_sum(summand, 12.0, method="slab")
-        shuffled = riemann_sum(summand, 12.0, method="slab", shuffle_seed=12345)
-        assert shuffled.value == plain.value
+        contributions, _ = coulomb._slab_contributions(
+            np.full(3, 12.0), plain.radius, summand.phi_fn, int(2e8))
+        shuffled = np.random.default_rng(12345).permutation(contributions)
+        assert coulomb._deterministic_sum(shuffled) \
+            == coulomb._deterministic_sum(contributions)
+        assert TWO_PI ** 3 / 12.0 ** 3 * coulomb._deterministic_sum(contributions) \
+            == plain.value
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetError):

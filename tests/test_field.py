@@ -68,17 +68,6 @@ class TestFieldVector:
         with pytest.raises(ConfigError):
             vec.offset(3, ctx.modes3.lam_prime[0].s, 1)
 
-    def test_csv(self, ctx, tmp_path):
-        vec = random_field(ctx.modes3, seed=7)
-        path = tmp_path / "field.csv"
-        vec.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "index,l,s1,s2,s3,i,value"
-        assert len(lines) == 1 + 4 * ctx.modes3.N
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[-1]) == vec.values[0]
-
 
 class TestParity:
     def test_extension_signs(self, ctx):

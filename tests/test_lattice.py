@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxqed import ConfigError, SimulationConfig, build_mode_set, build_polarization
-from boxqed.lattice import ModeSet, WaveVector, modes_to_csv
+from boxqed.lattice import ModeSet, WaveVector
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,13 +149,3 @@ def test_mode_set_invariants_property(M, L):
         assert abs(np.dot(e1, wv.k)) < 1e-12 * max(1.0, wv.norm)
         assert abs(np.dot(e2, wv.k)) < 1e-12 * max(1.0, wv.norm)
 
-
-def test_csv_export(tmp_path):
-    modes = build_mode_set(cube_config(M=1), which=1)
-    frame = build_polarization(modes)
-    out = tmp_path / "modes.csv"
-    modes_to_csv(modes, frame, out)
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 1 + 26
-    assert lines[0].startswith("s1,s2,s3,k1")
-    assert sum(line.endswith(",1") for line in lines[1:]) == 13

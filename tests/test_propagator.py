@@ -28,6 +28,7 @@ from boxqed.propagator import (
     fresnel_gaussian,
     fundamental_step,
     g_epsilon_extrapolated,
+    g_epsilon_levels,
     g_epsilon_step,
     phi_maps,
     quadratic_variable_step,
@@ -310,19 +311,17 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError):
             convergence_study(zero, backend, 0.5, [1, 2], zero)
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_growth_rate_fits_the_finest_mesh(self):
         backend = field_only_backend(cap=2)
         f = random_state(backend.state_dim, seed=4, basis=backend.basis)
-        study = convergence_study(f, backend, 0.2, [1, 2],
-                                  fundamental_step(f, 0.2, 0.0, backend))
-        path = tmp_path / "study.csv"
-        study.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "segments,relative_error"
-        assert len(lines) == 3
-        segs, err = lines[2].split(",")
-        assert int(segs) == 2
-        assert float(err) == study.rows[1][1]
+        reference = fundamental_step(f, 0.2, 0.0, backend)
+        study = convergence_study(f, backend, 0.2, [4, 2], reference)
+        sub = Subdivision.uniform(0.2, 4)
+        _, norms = compose(f, sub, backend, collect_norms=True)
+        assert study.growth_rate == fit_growth_rate(sub.times[1:], norms)
+        # one step has no slope to fit
+        single = convergence_study(f, backend, 0.2, [1], reference)
+        assert single.growth_rate is None
 
 
 class TestResidualStudy:
@@ -353,16 +352,6 @@ class TestResidualStudy:
         f = random_state(backend.state_dim, seed=6)
         with pytest.raises(ConfigError, match="Hamiltonian"):
             residual_study(f, backend, [0.1])
-
-    def test_csv_contains_all_rows(self, tmp_path):
-        backend = field_only_backend(cap=2)
-        vac = vacuum(backend.basis)
-        study = residual_study(vac, backend, [0.25, 0.125])
-        path = tmp_path / "residuals.csv"
-        study.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,delta,residual"
-        assert len(lines) == 3
 
 
 def one_mode_ctx(n_particles=0, charges=(), masses=(), coupled=False):
@@ -509,16 +498,6 @@ class TestRhoStarSearch:
         with pytest.raises(ConfigError):
             rho_star_search(config, ceiling=-1.0)
 
-    def test_csv_lists_probes(self, tmp_path):
-        config = SimulationConfig(L=BOX)
-        ctx = ModelContext.custom(config, EMPTY, EMPTY, ONE_MODE)
-        result = rho_star_search(config, sample_budget=1, ctx=ctx)
-        path = tmp_path / "rho_star.csv"
-        result.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,min_det,passed"
-        assert len(lines) == 1 + len(result.probes)
-
 
 class TestOffsetDampedStep:
     def test_xi_factor_closed_form(self):
@@ -554,6 +533,19 @@ class TestOffsetDampedStep:
         plain = fundamental_step(f, 0.5, 0.0, backend)
         extrap = g_epsilon_extrapolated(f, 0.5, 0.0, backend)
         assert np.abs(extrap.coefficients - plain.coefficients).max() <= 1e-6
+
+    def test_default_levels_halve_eps_squared(self):
+        backend = field_only_backend(cap=2, offset_modes=True)
+        eps0, mid, last = g_epsilon_levels(0.5, backend)
+        # |k| = 1: the mode coefficient is a = rho / (4 pi hbar |V|)
+        assert eps0 == pytest.approx(math.sqrt(0.01 * 0.5 / (4.0 * math.pi * VOL)),
+                                     rel=1e-15)
+        assert (mid, last) == (eps0 / math.sqrt(2.0), eps0 / 2.0)
+        assert g_epsilon_levels(0.5, backend, eps0=0.3)[0] == 0.3
+        f = random_state(backend.state_dim, seed=8, basis=backend.basis)
+        explicit = g_epsilon_extrapolated(f, 0.5, 0.0, backend, eps0=eps0)
+        assert np.array_equal(explicit.coefficients,
+                              g_epsilon_extrapolated(f, 0.5, 0.0, backend).coefficients)
 
     def test_damping_shrinks_the_norm(self):
         backend = field_only_backend(cap=3, offset_modes=True)
