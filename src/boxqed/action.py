@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .coulomb import potential_V1
-from .errors import ConfigError, InvariantViolation
+from .errors import BudgetError, ConfigError, InvariantViolation
 from .field import FieldVector, ModelContext, potential_V2
 from .lattice import WaveVector
 
@@ -35,7 +35,8 @@ def adaptive_gauss_legendre(f, a: float = 0.0, b: float = 1.0,
     until the refinement shift is below rel_tol times the running scale, with
     abs_floor as the absolute fallback.  A NaN or infinite value raises
     ``InvariantViolation``: it could never pass the shift test, so the
-    recursion would otherwise run the full tree down to max_depth.
+    recursion would otherwise run the full tree down to max_depth.  A panel
+    that still fails the shift test at max_depth raises ``BudgetError``.
     """
 
     def panel(lo, hi):
@@ -55,8 +56,13 @@ def adaptive_gauss_legendre(f, a: float = 0.0, b: float = 1.0,
         better = left + right
         drift = np.max(np.abs(better - whole))
         scale = max(float(np.max(np.abs(better))), 1.0e-30)
-        if drift <= max(rel_tol * scale, abs_floor) or depth >= max_depth:
+        if drift <= max(rel_tol * scale, abs_floor):
             return better
+        if depth >= max_depth:
+            raise BudgetError(
+                f"quadrature panel [{lo:.17g}, {hi:.17g}] still shifts by "
+                f"{drift:.3e} at the maximum depth {max_depth}"
+            )
         return refine(lo, mid, left, depth + 1) + refine(mid, hi, right, depth + 1)
 
     return refine(float(a), float(b), panel(float(a), float(b)), 0)

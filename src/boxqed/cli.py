@@ -57,6 +57,13 @@ def _ints(text):
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
+def _listed(values, flag):
+    """The values parsed from ``flag``, which a study needs at least one of."""
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
+
+
 def _fmt(value):
     if isinstance(value, str):
         return value
@@ -338,7 +345,7 @@ def _execute(subcommand, params, config, out_dir, seed):
     }
     with open(out / "manifest.json", "w", encoding="utf-8",
               newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return manifest
 
@@ -473,12 +480,12 @@ def _params_from_args(args):
     if name == "coulomb-limit":
         return {
             "separation": _floats(args.separation),
-            "eps_levels": _floats(args.eps_levels),
-            "box_levels": _floats(args.box_levels),
+            "eps_levels": _listed(_floats(args.eps_levels), "--eps-levels"),
+            "box_levels": _listed(_floats(args.box_levels), "--box-levels"),
         }
     if name == "riemann":
         return {
-            "box_levels": _floats(args.box_levels),
+            "box_levels": _listed(_floats(args.box_levels), "--box-levels"),
             "anisotropic_ells": _ints(args.anisotropic_ells),
         }
     if name == "fock-spectrum":
@@ -487,8 +494,9 @@ def _params_from_args(args):
         return {"samples": args.samples, "t": args.t, "s": args.s}
     if name == "propagate":
         galerkin = args.backend == "galerkin"
-        segments = _ints(args.segments) if args.segments else (
-            [1, 2, 4, 8] if galerkin else [4, 8, 16, 32, 64])
+        segments = [1, 2, 4, 8] if galerkin else [4, 8, 16, 32, 64]
+        if args.segments:
+            segments = _listed(_ints(args.segments), "--segments")
         return {
             "backend": args.backend,
             "mode": _ints(args.mode),
@@ -501,7 +509,7 @@ def _params_from_args(args):
         return {
             "mode": _ints(args.mode),
             "cap": args.cap,
-            "rho_list": _floats(args.rho_list),
+            "rho_list": _listed(_floats(args.rho_list), "--rho-list"),
             "dt_factor": args.dt_factor,
         }
     if name == "rho-star":

@@ -428,7 +428,7 @@ class ResidualStudy:
     """Generator residuals of single steps across step sizes."""
 
     rows: tuple              # (rho, delta, residual)
-    slope: float
+    slope: Optional[float]   # log-log fit; None below two positive residuals
 
 
 def residual_study(f: StateVector, backend: StepBackend, rho_list,
@@ -458,17 +458,21 @@ def residual_study(f: StateVector, backend: StepBackend, rho_list,
         vec = 1j * hbar * (ahead - behind) / (2.0 * delta) - H @ center
         rows.append((rho, delta, float(np.linalg.norm(vec))))
     logs = [(math.log(r), math.log(res)) for r, _, res in rows if res > 0.0]
+    slope = None
     if len(logs) >= 2:
         xs, ys = zip(*logs)
         slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = math.nan
     return ResidualStudy(tuple(rows), slope)
 
 
 # ---------------------------------------------------------------------------
 # Endpoint-difference maps
 # ---------------------------------------------------------------------------
+
+# Cap in bytes on the theta panel of one joint phi-map quadrature: 16 theta
+# by 16 sigma nodes by the endpoints in a group by the widest per-point block.
+_PHI_PANEL_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class PhiMapPoint:
@@ -492,9 +496,11 @@ class PhiMapPoint:
 def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
     """Theta integrand of the earlier-endpoint gradient, or None when it vanishes.
 
-    The returned function maps theta nodes (B,) to rows (B, 3n + 4N): the
-    particle block flattened per node, then the field block.  All nodes of a
-    quadrature panel are evaluated in one batched call.
+    The endpoints may carry leading batch axes E that broadcast together:
+    ``z_part`` and ``y_part`` (E..., n, 3), ``Z_f`` and ``Y_f`` (E..., 4N).
+    The returned function maps theta nodes (T,) to rows (T, E..., 3n + 4N):
+    the particle block flattened per point, then the field block.  All nodes
+    of a quadrature panel and all batch points are evaluated in one call.
     """
     config = ctx.config
     n = config.n_particles
@@ -505,81 +511,77 @@ def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
     if not (has_v1 or has_v2 or coupled):
         return None
 
-    disp = z_part - y_part if n else np.zeros((0, 3))
+    disp = z_part - y_part
+    batch = np.broadcast_shapes(disp.shape[:-2], np.shape(Z_f)[:-1],
+                                np.shape(Y_f)[:-1])
 
     def integrand(th):
+        lead = th.shape + batch
+        th = th.reshape(th.shape + (1,) * len(batch))
         weight = rho * th
-        q = (1.0 - th)[:, None, None] * z_part + th[:, None, None] * y_part
-        a_vals = (1.0 - th)[:, None] * Z_f + th[:, None] * Y_f
-        rows_y = np.zeros((len(th), n, 3))
-        rows_Y = np.zeros((len(th), ctx.n_field))
+        q = (1.0 - th)[..., None, None] * z_part + th[..., None, None] * y_part
+        a_vals = (1.0 - th)[..., None] * Z_f + th[..., None] * Y_f
+        rows_y = np.zeros(lead + (n, 3))
+        rows_Y = np.zeros(lead + (ctx.n_field,))
         if has_v1:
-            rows_y -= weight[:, None, None] * v1_gradient(q, charges, ctx.modes1, config)
+            rows_y -= weight[..., None, None] * v1_gradient(q, charges, ctx.modes1, config)
         if has_v2:
-            rows_Y -= weight[:, None] * v2_gradient(FieldVector(a_vals, ctx.modes3), config)
+            rows_Y -= weight[..., None] * v2_gradient(FieldVector(a_vals, ctx.modes3), config)
         for j in coupled:
-            value, grad_x, grad_a = ctx.tilde_A(q[:, j], a_vals)
+            value, grad_x, grad_a = ctx.tilde_A(q[..., j, :], a_vals)
             factor = charges[j] / config.c_light
-            rows_y[:, j] += factor * (-value + th[:, None] * (grad_x @ disp[j]))
-            rows_Y += (factor * th)[:, None] * (disp[j] @ grad_a)
-        return np.concatenate([rows_y.reshape(len(th), 3 * n), rows_Y], axis=1)
+            directional = (grad_x @ disp[..., j, :, None])[..., 0]
+            rows_y[..., j, :] += factor * (-value + th[..., None] * directional)
+            rows_Y += (factor * th)[..., None] * (disp[..., j, None, :] @ grad_a)[..., 0, :]
+        return np.concatenate([rows_y.reshape(lead + (3 * n,)), rows_Y], axis=-1)
 
     return integrand
 
 
-def _earlier_gradient(t: float, s: float, z_part, y_part, Z_f, Y_f,
-                      ctx: ModelContext, rel_tol: float):
-    """Gradients of the segment action in its earlier endpoint.
+def _phi_values(t: float, s: float, x, y, zs, X, Y, Zs, ctx: ModelContext,
+                rel_tol: float):
+    """Flat (phi, phi1) rows at B later endpoints sharing one earlier pair.
 
-    Returns (grad_y, grad_Y) at fixed later endpoint (z_part, Z_f); the
-    potential and coupling contributions are theta integrals evaluated in one
-    vector-valued adaptive pass.
+    ``zs`` (B, n, 3) and ``Zs`` (B, 4N) in, (B, 3n + 4N) out: phi flattened
+    per particle, then phi1.  Each sigma panel runs one theta quadrature over
+    all its 16 sigma nodes and all B endpoints, refined jointly.  Endpoints
+    go in groups whose theta panel stays under ``_PHI_PANEL_BYTES``.
     """
     rho = t - s
     config = ctx.config
     n = config.n_particles
+    dim = 3 * n + ctx.n_field
+    side_bytes = 16 * 16 * 8 * max(3 * dim, n * n * ctx.modes1.N)
+    if side_bytes > _PHI_PANEL_BYTES:
+        raise BudgetError(
+            f"one phi-map panel needs {side_bytes} bytes, over the cap of "
+            f"{_PHI_PANEL_BYTES}; reduce the mode or particle count")
+    group = _PHI_PANEL_BYTES // side_bytes
+    if len(zs) > group:
+        return np.concatenate([
+            _phi_values(t, s, x, y, zs[i:i + group], X, Y, Zs[i:i + group],
+                        ctx, rel_tol) for i in range(0, len(zs), group)])
     masses = np.asarray(config.masses, dtype=float)
-
-    grad_y = (masses[:, None] * (y_part - z_part) / rho) if n else \
-        np.zeros((0, 3))
-    grad_Y = (Y_f - Z_f) / (config.volume * rho)
-
-    integrand = _earlier_integrand(rho, z_part, y_part, Z_f, Y_f, ctx)
-    if integrand is None:
-        return grad_y, grad_Y
-    integral = adaptive_gauss_legendre(integrand, rel_tol=rel_tol,
-                                       abs_floor=1e-14)
-    grad_y = grad_y + integral[:3 * n].reshape(n, 3)
-    grad_Y = grad_Y + integral[3 * n:]
-    return grad_y, grad_Y
-
-
-def _phi_values(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext,
-                rel_tol: float):
-    """Raw (phi, phi1) from the sigma quadrature of endpoint gradients."""
-    rho = t - s
-    config = ctx.config
-    n = config.n_particles
-    masses = np.asarray(config.masses, dtype=float)
-    n_field = ctx.n_field
 
     def sigma_integrand(sigmas):
-        sigmas = np.atleast_1d(sigmas)
-        out = np.zeros((len(sigmas), 3 * n + n_field))
-        for pos, sig in enumerate(sigmas):
-            y_sig = x + sig * (y - x) if n else x
-            Y_sig = X + sig * (Y - X)
-            g_y, g_Y = _earlier_gradient(t, s, z, y_sig, Z, Y_sig, ctx, rel_tol)
-            out[pos, :3 * n] = g_y.reshape(-1)
-            out[pos, 3 * n:] = g_Y
-        return out
+        sig = sigmas[:, None, None]
+        y_sig = x + sig[..., None] * (y - x)                  # (S, 1, n, 3)
+        Y_sig = X + sig * (Y - X)                             # (S, 1, 4N)
+        grad_y = masses[:, None] * (y_sig - zs) / rho
+        grad_Y = (Y_sig - Zs) / (config.volume * rho)
+        rows = np.concatenate([grad_y.reshape(grad_Y.shape[:2] + (3 * n,)),
+                               grad_Y], axis=-1)
+        integrand = _earlier_integrand(rho, zs, y_sig, Zs, Y_sig, ctx)
+        if integrand is None:
+            return rows
+        return rows + adaptive_gauss_legendre(integrand, rel_tol=rel_tol,
+                                              abs_floor=1e-14)
 
     integral = adaptive_gauss_legendre(sigma_integrand, rel_tol=rel_tol,
                                        abs_floor=1e-14)
-    phi = -rho / masses[:, None] * integral[:3 * n].reshape(n, 3) if n \
-        else np.zeros((0, 3))
-    phi1 = -rho * config.volume * integral[3 * n:]
-    return phi, phi1
+    factor = np.concatenate([np.repeat(-rho / masses, 3),
+                             np.full(ctx.n_field, -rho * config.volume)])
+    return factor * integral
 
 
 def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
@@ -625,7 +627,8 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
     Y = fields(Y)
     Z = fields(Z)
 
-    phi, phi1 = _phi_values(t, s, x, y, z, X, Y, Z, ctx, rel_tol)
+    values = _phi_values(t, s, x, y, z[None], X, Y, Z[None], ctx, rel_tol)[0]
+    phi, phi1 = values[:3 * n].reshape(n, 3), values[3 * n:]
 
     residual = None
     if verify:
@@ -652,27 +655,18 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
 
 
 def _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol, fd_scale):
-    """Central-difference determinant of d(phi, phi1) / d(z, Z)."""
+    """Central-difference determinant of d(phi, phi1) / d(z, Z).
+
+    The 2 dim sides base +- h e_col go through one batched ``_phi_values``.
+    """
     n = ctx.config.n_particles
-    dim = 3 * n + ctx.n_field
-
-    def evaluate(z_flat, Z_vals):
-        phi, phi1 = _phi_values(t, s, x, y, z_flat.reshape(n, 3) if n
-                                else z_flat.reshape(0, 3),
-                                X, Y, Z_vals, ctx, rel_tol)
-        return np.concatenate([phi.reshape(-1), phi1])
-
     base = np.concatenate([z.reshape(-1), Z])
-    jac = np.empty((dim, dim))
-    for col in range(dim):
-        h = fd_scale * max(1.0, abs(base[col]))
-        plus = base.copy()
-        minus = base.copy()
-        plus[col] += h
-        minus[col] -= h
-        f_plus = evaluate(plus[:3 * n], plus[3 * n:])
-        f_minus = evaluate(minus[:3 * n], minus[3 * n:])
-        jac[:, col] = (f_plus - f_minus) / (2.0 * h)
+    dim = len(base)
+    steps = fd_scale * np.maximum(1.0, np.abs(base))
+    sides = np.concatenate([base + np.diag(steps), base - np.diag(steps)])
+    values = _phi_values(t, s, x, y, sides[:, :3 * n].reshape(2 * dim, n, 3),
+                         X, Y, sides[:, 3 * n:], ctx, rel_tol)
+    jac = (values[:dim] - values[dim:]).T / (2.0 * steps)
     return float(np.linalg.det(jac)), fd_scale
 
 

@@ -11,11 +11,13 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import erf
 
+from boxqed.action import adaptive_gauss_legendre
 from boxqed.coulomb import v1_gradient
 from boxqed.errors import BudgetError
 from boxqed.field import FieldVector, extend_parity, tilde_A_with_derivatives, v2_gradient
 from boxqed.propagator import (
     TWO_PI,
+    _earlier_integrand,
     _field_block_tensors,
     _guard_step_size,
     _interp_coeffs,
@@ -142,6 +144,84 @@ def looped_earlier_integrand(thetas, rho, z_part, y_part, Z_f, Y_f, ctx):
         out[pos, :3 * n] = row_y.reshape(-1)
         out[pos, 3 * n:] = row_Y
     return out
+
+
+def _looped_earlier_gradient(t, s, z_part, y_part, Z_f, Y_f, ctx, rel_tol):
+    """Earlier-endpoint gradients at one sigma node, one theta quadrature."""
+    rho = t - s
+    config = ctx.config
+    n = config.n_particles
+    masses = np.asarray(config.masses, dtype=float)
+
+    grad_y = (masses[:, None] * (y_part - z_part) / rho) if n else \
+        np.zeros((0, 3))
+    grad_Y = (Y_f - Z_f) / (config.volume * rho)
+
+    integrand = _earlier_integrand(rho, z_part, y_part, Z_f, Y_f, ctx)
+    if integrand is None:
+        return grad_y, grad_Y
+    integral = adaptive_gauss_legendre(integrand, rel_tol=rel_tol,
+                                       abs_floor=1e-14)
+    grad_y = grad_y + integral[:3 * n].reshape(n, 3)
+    grad_Y = grad_Y + integral[3 * n:]
+    return grad_y, grad_Y
+
+
+def looped_phi_values(t, s, x, y, z, X, Y, Z, ctx, rel_tol):
+    """(phi, phi1) at one later endpoint, one theta quadrature per sigma node.
+
+    The per-node form the joint sigma-by-theta quadrature replaced.
+    """
+    rho = t - s
+    config = ctx.config
+    n = config.n_particles
+    masses = np.asarray(config.masses, dtype=float)
+    n_field = ctx.n_field
+
+    def sigma_integrand(sigmas):
+        sigmas = np.atleast_1d(sigmas)
+        out = np.zeros((len(sigmas), 3 * n + n_field))
+        for pos, sig in enumerate(sigmas):
+            y_sig = x + sig * (y - x) if n else x
+            Y_sig = X + sig * (Y - X)
+            g_y, g_Y = _looped_earlier_gradient(t, s, z, y_sig, Z, Y_sig, ctx,
+                                                rel_tol)
+            out[pos, :3 * n] = g_y.reshape(-1)
+            out[pos, 3 * n:] = g_Y
+        return out
+
+    integral = adaptive_gauss_legendre(sigma_integrand, rel_tol=rel_tol,
+                                       abs_floor=1e-14)
+    phi = -rho / masses[:, None] * integral[:3 * n].reshape(n, 3) if n \
+        else np.zeros((0, 3))
+    phi1 = -rho * config.volume * integral[3 * n:]
+    return phi, phi1
+
+
+def looped_phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol, fd_scale):
+    """Central-difference determinant of d(phi, phi1) / d(z, Z), one
+    ``looped_phi_values`` pair per column."""
+    n = ctx.config.n_particles
+    dim = 3 * n + ctx.n_field
+
+    def evaluate(z_flat, Z_vals):
+        phi, phi1 = looped_phi_values(t, s, x, y, z_flat.reshape(n, 3) if n
+                                      else z_flat.reshape(0, 3),
+                                      X, Y, Z_vals, ctx, rel_tol)
+        return np.concatenate([phi.reshape(-1), phi1])
+
+    base = np.concatenate([z.reshape(-1), Z])
+    jac = np.empty((dim, dim))
+    for col in range(dim):
+        h = fd_scale * max(1.0, abs(base[col]))
+        plus = base.copy()
+        minus = base.copy()
+        plus[col] += h
+        minus[col] -= h
+        f_plus = evaluate(plus[:3 * n], plus[3 * n:])
+        f_minus = evaluate(minus[:3 * n], minus[3 * n:])
+        jac[:, col] = (f_plus - f_minus) / (2.0 * h)
+    return float(np.linalg.det(jac))
 
 
 def einsum_galerkin_matrix(backend, rho):

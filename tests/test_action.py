@@ -20,7 +20,7 @@ from boxqed.action import (
     scalar_offset_term,
     segment_action,
 )
-from boxqed.errors import ConfigError, InvariantViolation
+from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 from boxqed.field import FieldVector, ModelContext, potential_V2
 from boxqed.coulomb import potential_V1
 
@@ -133,6 +133,13 @@ class TestAdaptiveQuadrature:
         with pytest.raises(InvariantViolation, match="not finite"):
             adaptive_gauss_legendre(integrand, max_depth=4)
         assert calls == [16]
+
+    def test_unconverged_panel_at_max_depth_raises(self):
+        # a kink off the dyadic grid cannot meet a tolerance below rounding
+        # within four halvings; the driver must say so, not return a value
+        with pytest.raises(BudgetError, match="maximum depth 4"):
+            adaptive_gauss_legendre(lambda t: np.abs(t - 1.0 / 3.0),
+                                    rel_tol=1e-17, abs_floor=0.0, max_depth=4)
 
 
 class TestSegmentAction:

@@ -210,3 +210,49 @@ class TestStudyOutputs:
         assert float(cube[0]) == float(cube[1]) == 15.0
         assert float(aniso[0]) == 16.0 and float(aniso[1]) == 4.0
         assert float(aniso[6]) > 0.0      # signed excess over the integral
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("subcommand,flag", [
+        ("propagate", "--segments"),
+        ("coulomb-limit", "--box-levels"),
+        ("coulomb-limit", "--eps-levels"),
+        ("riemann", "--box-levels"),
+        ("residual", "--rho-list"),
+    ])
+    def test_empty_list_exits_two(self, tmp_path, capsys, subcommand, flag):
+        out = tmp_path / "o"
+        assert run([subcommand, flag, ",", "--out", str(out)]) == 2
+        assert f"{flag} needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_riemann_without_anisotropic_boxes(self, tmp_path):
+        assert run(["riemann", "--box-levels", "15", "--anisotropic-ells", "",
+                    "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "riemann.csv").read_text().strip().splitlines()
+        assert len(lines) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds the non-JSON constant {name}")
+
+
+class TestStrictJsonManifests:
+    # default flags, except riemann, whose default L = 60 cube needs a
+    # 2^24-shell table; one L = 15 cube exercises the same summary keys
+    @pytest.mark.parametrize("argv", [
+        ["modes"], ["coulomb-limit"], ["riemann", "--box-levels", "15"],
+        ["fock-spectrum"], ["action-eval"], ["propagate"], ["residual"],
+        ["rho-star"], ["g-equivalence"],
+    ], ids=lambda argv: argv[0])
+    def test_default_manifest_is_strict_json(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        text = (tmp_path / "manifest.json").read_text()
+        json.loads(text, parse_constant=_reject_constant)
+
+    def test_residual_without_a_fit_writes_null_slope(self, tmp_path):
+        assert run(["residual", "--rho-list", "0.125",
+                    "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "manifest.json").read_text()
+        assert json.loads(text, parse_constant=_reject_constant)["summary"] \
+            == {"slope": None}

@@ -34,12 +34,17 @@ from boxqed.propagator import (
     quadratic_variable_step,
     residual_study,
     rho_star_search,
+    sample_endpoints,
     xi_mode_factor,
 )
+from boxqed import propagator
+from boxqed.lattice import build_mode_set
 from boxqed.propagator import _earlier_integrand, _galerkin_matrix
 from oracles import (
     einsum_galerkin_matrix,
     looped_earlier_integrand,
+    looped_phi_jacobian_det,
+    looped_phi_values,
     step_matrix_by_quadrature,
 )
 
@@ -454,18 +459,97 @@ class TestEarlierIntegrand:
         ctx = make_ctx()
         n = ctx.config.n_particles
         rng = np.random.default_rng(17)
-        z, y = (rng.uniform(-0.5 * TWO_PI, 0.5 * TWO_PI, size=(n, 3)) for _ in range(2))
-        Z, Y = (rng.standard_normal(ctx.n_field) for _ in range(2))
-        rho = 0.6
         if ctx.modes1.N:
             assert n >= 2, "the V1 branch needs two particles"
-        integrand = _earlier_integrand(rho, z, y, Z, Y, ctx)
-        for thetas in (0.5 + 0.5 * np.polynomial.legendre.leggauss(16)[0],
-                       rng.uniform(0.0, 1.0, size=5), np.array([0.0, 1.0])):
-            got = integrand(thetas)
-            want = looped_earlier_integrand(thetas, rho, z, y, Z, Y, ctx)
-            assert got.shape == want.shape == (len(thetas), 3 * n + ctx.n_field)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        rho = 0.6
+        # one endpoint pair unbatched, then batches of one and of three
+        for batch in ((), (1,), (3,)):
+            z, y = (rng.uniform(-0.5 * TWO_PI, 0.5 * TWO_PI, size=batch + (n, 3))
+                    for _ in range(2))
+            Z, Y = (rng.standard_normal(batch + (ctx.n_field,)) for _ in range(2))
+            integrand = _earlier_integrand(rho, z, y, Z, Y, ctx)
+            for thetas in (0.5 + 0.5 * np.polynomial.legendre.leggauss(16)[0],
+                           rng.uniform(0.0, 1.0, size=5), np.array([0.0, 1.0])):
+                got = integrand(thetas)
+                assert got.shape == (len(thetas),) + batch + (3 * n + ctx.n_field,)
+                for index in np.ndindex(batch):
+                    want = looped_earlier_integrand(thetas, rho, z[index], y[index],
+                                                    Z[index], Y[index], ctx)
+                    point = got[(slice(None),) + index]
+                    assert np.max(np.abs(point - want)) \
+                        <= 1e-12 * np.max(np.abs(want))
+
+
+def _criterion5_v1_ctx():
+    """Criterion 5's two-particle config: V1 on its full first mode set,
+    coupling and field on one mode so the looped oracle stays quick."""
+    config = SimulationConfig(L=BOX, M=(1, 1, 1), n_particles=2,
+                              masses=(1.0, 2.0), charges=(1.0, -0.5),
+                              sigma_psi=0.8, width_g=2.0)
+    return ModelContext.custom(config, build_mode_set(config, 1), ONE_MODE,
+                               ONE_MODE)
+
+
+TWO_MODES = ModeSet.from_s_triples([(0, 0, 1), (0, 0, 2)], BOX)
+
+
+class TestJointPhiQuadrature:
+    """Phi values and Jacobians from the joint sigma-by-theta quadrature over
+    all difference sides, against the per-node, per-column loop."""
+
+    CASES = [
+        (lambda: _charged_ctx(ONE_MODE), 1.0),
+        (lambda: _charged_ctx(ONE_MODE), 0.5),
+        (lambda: _charged_ctx(ONE_MODE), 0.25),
+        (lambda: _charged_ctx(TWO_MODES), 0.5),
+        (_criterion5_v1_ctx, 0.5),
+        (lambda: one_mode_ctx(), 0.5),
+    ]
+    IDS = ["criterion8-one-mode-1", "criterion8-one-mode-1/2",
+           "criterion8-one-mode-1/4", "criterion8-two-mode",
+           "two-particle-v1", "zero-particle"]
+
+    @staticmethod
+    def _endpoints(ctx, seed=3):
+        return sample_endpoints(np.random.default_rng(seed), ctx, 3)
+
+    @pytest.mark.parametrize("make_ctx,rho", CASES, ids=IDS)
+    def test_matches_looped_oracle(self, make_ctx, rho):
+        ctx = make_ctx()
+        if ctx.config.n_particles == 2:
+            assert ctx.modes1.N > 0, "the V1 branch must be exercised"
+        (x, y, z), (X, Y, Z) = self._endpoints(ctx)
+        point = phi_maps(rho, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
+        phi, phi1 = looped_phi_values(rho, 0.0, x, y, z, X, Y, Z, ctx, 1e-6)
+        got = np.concatenate([point.phi.reshape(-1), point.phi1])
+        want = np.concatenate([phi.reshape(-1), phi1])
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+        assert point.identity_residual <= 1e-6
+        det = looped_phi_jacobian_det(rho, 0.0, x, y, z, X, Y, Z, ctx, 1e-6, 1e-5)
+        assert abs(point.jacobian_det - det) <= 1e-8 * abs(det)
+
+    def test_side_groups_match_one_group(self, monkeypatch):
+        ctx = _charged_ctx(ONE_MODE)
+        (x, y, z), (X, Y, Z) = self._endpoints(ctx)
+        whole = phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
+        dim = 3 + ctx.n_field
+        # three of the fourteen difference sides per joint quadrature
+        monkeypatch.setattr(propagator, "_PHI_PANEL_BYTES", 3 * 16 * 16 * 8 * 3 * dim)
+        grouped = phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
+        assert abs(grouped.jacobian_det - whole.jacobian_det) \
+            <= 1e-8 * abs(whole.jacobian_det)
+
+    def test_side_over_the_cap_raises_before_quadrature(self, monkeypatch):
+        ctx = _charged_ctx(ONE_MODE)
+        (x, y, z), (X, Y, Z) = self._endpoints(ctx)
+        monkeypatch.setattr(propagator, "_PHI_PANEL_BYTES", 1024)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran above the byte cap")
+
+        monkeypatch.setattr(propagator, "adaptive_gauss_legendre", no_quadrature)
+        with pytest.raises(BudgetError, match="cap"):
+            phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, verify=False)
 
 
 class TestRhoStarSearch:
