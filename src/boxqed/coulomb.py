@@ -25,7 +25,7 @@ def _deterministic_sum(values: np.ndarray) -> float:
     """Order-independent reduction: sort, then sum.
 
     Any enumeration order of the same contributions gives bit-identical
-    results, which is what makes the shell sums safely parallelizable.
+    results, so a sum does not depend on how its sites were enumerated.
     """
     return float(np.sum(np.sort(np.asarray(values, dtype=float))))
 
@@ -163,45 +163,84 @@ def _slab_contributions(box: np.ndarray, radius: float, eval_fn, budget: int,
 
 def _round_to_integers(values: np.ndarray) -> np.ndarray:
     """Round a transform output that must be integral, refusing if any entry
-    (or a NaN) is more than 1e-3 from an integer."""
+    (or a NaN) is more than 1e-3 from an integer.  Empty entries come back as
+    +0.0, never -0.0."""
     rounded = np.rint(values)
     drift = float(np.max(np.abs(values - rounded), initial=0.0))
     if not drift <= 1e-3:
         raise InvariantViolation(
             f"integer table drifted {drift:.3g} from the nearest integers"
         )
-    return rounded
+    return np.add(rounded, 0.0, out=rounded)
+
+
+def _indicator(top: int, exponents: np.ndarray, weight: float) -> np.ndarray:
+    """Series on 0..top with ``weight`` at each exponent that fits."""
+    series = np.zeros(top + 1)
+    series[exponents[exponents <= top]] = weight
+    return series
+
+
+def _fill_scaled(out: np.ndarray, spectrum: np.ndarray, size: int,
+                 factor: float) -> None:
+    """Write factor times the leading entries of the integer series whose
+    length-``size`` real spectrum is given into ``out``; the spectrum is
+    consumed."""
+    series = fft.irfft(spectrum, n=size, overwrite_x=True)[: len(out)]
+    np.multiply(_round_to_integers(series), factor, out=out)
 
 
 # Largest three-squares table built so far, read-only; smaller requests are
 # served as its prefix.  A cube's radius doublings ask for about 64 * 4^k
 # shells whatever the edge, so every request inside one riemann_sum outgrows
-# the table, and a later box reuses it for its doublings up to that size.
+# the table, but its r3(4m) quarter is the previous doubling's table and is
+# read here as a prefix; a later box reuses the table up to that size.
 _R3_TABLE = np.zeros(0)
 
 
 def _three_squares_counts(n_max: int) -> np.ndarray:
     """Counts of integer triples with s1^2+s2^2+s3^2 = n for n = 0..n_max.
 
-    Cube of the truncated theta series sum_s q^(s^2), taken with one real FFT
-    padded to at least 3 n_max + 1 so the kept entries carry no circular
-    aliasing, then rounded back to exact integers.  The largest table is
-    kept for the process; a request it covers is a read-only prefix view of
-    it, and a larger one builds a new table from n = 0.
+    Splitting the theta series sum_s q^(s^2) by the parity of s gives
+    theta(q) = E(q^4) + 2q P(q^8) with E(x) = sum_t x^(t^2) and
+    P(y) = sum_{t>=0} y^(t(t+1)/2), so theta^3 falls apart by residue:
+    r3(4m) = r3(m), read from the quarter-size table; r3(4m+1) and r3(4m+2)
+    are 6 [E^2 P(x^2)]_m and 12 [E P(x^2)^2]_m, from one real FFT each of E
+    and P(x^2) padded to 3 (n_max-1)//4 + 1 so no kept entry aliases;
+    r3(8j+3) is 8 [P^3]_j from an eighth-size transform pair; and
+    r3(8j+7) = 0.  Every product is rounded back to exact integers.  The
+    largest table is kept for the process; a request it covers is a
+    read-only prefix view of it, and a larger one builds a new table.
     """
     global _R3_TABLE
     table = _R3_TABLE
     if n_max >= len(table):
-        theta = np.zeros(n_max + 1)
-        theta[0] = 1.0
-        theta[np.arange(1, math.isqrt(n_max) + 1) ** 2] = 2.0
-        size = fft.next_fast_len(3 * n_max + 1, real=True)
-        spectrum = fft.rfft(theta, n=size)
-        del theta   # each full-length buffer goes before the next is made
+        table = np.zeros(n_max + 1)
+        table[0::4] = _three_squares_counts(n_max // 4) if n_max else 1.0
+        t = np.arange(math.isqrt(2 * n_max) + 2)
+
+        top = max(n_max - 1, 0) // 4
+        size = fft.next_fast_len(3 * top + 1, real=True)
+        even = _indicator(top, t * t, 2.0)
+        even[0] = 1.0       # t = 0 is the one square with a single sign
+        evens = fft.rfft(even, n=size)
+        del even
+        odds = fft.rfft(_indicator(top, t * (t + 1), 1.0), n=size)
+        mixed = evens * odds
+        evens *= mixed      # E^2 P(x^2)
+        mixed *= odds       # E P(x^2)^2
+        del odds
+        _fill_scaled(table[1::4], evens, size, 6.0)
+        del evens
+        _fill_scaled(table[2::4], mixed, size, 12.0)
+        del mixed
+
+        top = max(n_max - 3, 0) // 8
+        size = fft.next_fast_len(3 * top + 1, real=True)
+        spectrum = fft.rfft(_indicator(top, t * (t + 1) // 2, 1.0), n=size)
         np.power(spectrum, 3, out=spectrum)
-        cubed = fft.irfft(spectrum, n=size, overwrite_x=True)
-        del spectrum
-        table = _round_to_integers(cubed[: n_max + 1])
+        _fill_scaled(table[3::8], spectrum, size, 8.0)
+
         table.flags.writeable = False
         _R3_TABLE = table
     return table[: n_max + 1]

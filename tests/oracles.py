@@ -8,8 +8,9 @@ of vectorized sums) so agreement is meaningful.
 import math
 
 import numpy as np
+from scipy import fft
 from scipy.signal import fftconvolve
-from scipy.special import erf
+from scipy.special import erf, erfc, erfcx
 
 from boxqed.action import adaptive_gauss_legendre
 from boxqed.coulomb import v1_gradient
@@ -380,3 +381,67 @@ def fftconvolve_three_squares_counts(n_max: int) -> np.ndarray:
     two = fftconvolve(theta, theta)[: n_max + 1]
     three = fftconvolve(two, theta)[: n_max + 1]
     return np.rint(three)
+
+
+def single_cube_three_squares_counts(n_max: int) -> np.ndarray:
+    """The same counts as the cube of the whole theta series in one real FFT,
+    padded to 3 n_max + 1 entries so no kept entry aliases."""
+    theta = np.zeros(n_max + 1)
+    theta[0] = 1.0
+    theta[np.arange(1, math.isqrt(n_max) + 1) ** 2] = 2.0
+    size = fft.next_fast_len(3 * n_max + 1, real=True)
+    spectrum = fft.rfft(theta, n=size)
+    return np.rint(fft.irfft(spectrum ** 3, n=size)[: n_max + 1])
+
+
+def _lattice_norms(spacing, radius):
+    """Norms of the nonzero points spacing * n, n in Z^3, up to radius."""
+    tops = np.floor(radius / np.asarray(spacing)).astype(int)
+    axes = [h * np.arange(-top, top + 1) for h, top in zip(spacing, tops)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    norms = np.sqrt(sum(axis ** 2 for axis in grid)).ravel()
+    return norms[(norms > 0.0) & (norms <= radius)]
+
+
+def ewald_lattice_sum(name, L, width=1.0):
+    """Exact cellvol * sum over s != 0 of a radial summand at k = 2 pi s / L.
+
+    Takes no route through the radial or slab code.  The summand is split as
+    f = f G + f (1 - G) with G = exp(-width^2 k^2): f G decays like a
+    Gaussian and is summed over the reciprocal lattice directly, and f (1 - G)
+    is smooth at k = 0 (value width^2), so by Poisson summation its lattice
+    sum equals the sum of its Fourier transform over the real lattice L n
+    (P. P. Ewald, Ann. Phys. 369 (1921) 253).  The gaussian summand needs no
+    split.  Both sides stop where their terms fall under about e^-45.
+    ``name`` is "gaussian" (e^-k^2), "inverse-quartic" (1/(k^2 (1+k^2))) or
+    "screened-inverse-square" (e^-k^2 / k^2); L is an edge or three edges.
+    """
+    box = np.broadcast_to(np.asarray(L, dtype=float), (3,))
+    cellvol = (2.0 * math.pi) ** 3 / float(np.prod(box))
+    dual = 2.0 * math.pi / box
+    pi2, pi32 = math.pi ** 2, math.pi ** 1.5
+    w2 = width * width
+    if name == "gaussian":
+        r = _lattice_norms(box, math.sqrt(180.0))
+        return math.fsum(pi32 * np.exp(-0.25 * r * r)) + pi32 - cellvol
+    if name == "inverse-quartic":
+        k = _lattice_norms(dual, math.sqrt(45.0) / width)
+        direct = np.exp(-w2 * k * k) / (k * k * (1.0 + k * k))
+        r = _lattice_norms(box, max(45.0 + w2, 2.0 * width * math.sqrt(45.0)))
+        u = r / (2.0 * width)
+        # transforms of (1 - G)/k^2 and (1 - G)/(1 + k^2): erfc and Yukawa
+        poisson = (pi2 / r) * (2.0 * erfc(u) - 2.0 * np.exp(-r)
+                               + np.exp(w2 - r) * erfc(width - u)
+                               - erfcx(width + u) * np.exp(-u * u))
+        origin = 2.0 * pi2 * (1.0 - erfcx(width))
+    elif name == "screened-inverse-square":
+        wide = math.sqrt(1.0 + w2)
+        k = _lattice_norms(dual, math.sqrt(45.0) / wide)
+        direct = np.exp(-(wide * k) ** 2) / (k * k)
+        r = _lattice_norms(box, 2.0 * wide * math.sqrt(45.0))
+        poisson = (2.0 * pi2 / r) * (erfc(r / (2.0 * wide)) - erfc(0.5 * r))
+        origin = 2.0 * pi32 * (1.0 - 1.0 / wide)
+    else:
+        raise ValueError(f"no closed-form transform for summand {name!r}")
+    return (cellvol * math.fsum(direct) + math.fsum(poisson) + origin
+            - cellvol * w2)

@@ -23,7 +23,12 @@ from boxqed.coulomb import (
 )
 from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 
-from oracles import fftconvolve_three_squares_counts, screened_coulomb_total
+from oracles import (
+    ewald_lattice_sum,
+    fftconvolve_three_squares_counts,
+    screened_coulomb_total,
+    single_cube_three_squares_counts,
+)
 
 TWO_PI = 2.0 * math.pi
 FROZEN_V1 = 22.0 / (3.0 * math.pi ** 2)
@@ -259,8 +264,10 @@ class TestThreeSquaresTable:
         s = np.arange(-40, 41)
         norms = (s[:, None, None] ** 2 + s[None, :, None] ** 2
                  + s[None, None, :] ** 2).ravel()
-        brute = np.bincount(norms)[:1601]
-        assert np.array_equal(coulomb._three_squares_counts(1600), brute)
+        brute = np.bincount(norms)[:1601].astype(float)
+        table = coulomb._three_squares_counts(1600)
+        assert table.dtype == brute.dtype
+        assert table.tobytes() == brute.tobytes()
 
     def test_matches_two_convolution_route_exactly(self):
         n_max = 262144
@@ -268,10 +275,52 @@ class TestThreeSquaresTable:
         old = fftconvolve_three_squares_counts(n_max)
         assert table.dtype == old.dtype
         assert np.array_equal(table, old)
-        # rint keeps the sign of a tiny negative, so the two routes may put
-        # -0.0 and 0.0 at different empty shells; every other bit agrees
+        # rint keeps the sign of a tiny negative, so the oracle may put -0.0
+        # at an empty shell where the table has 0.0; every other bit agrees
         differ = table.view(np.int64) != old.view(np.int64)
         assert np.all(table[differ] == 0.0)
+
+    def test_quarter_shells_and_legendre_zeros(self):
+        n_max = 2 ** 20
+        table = coulomb._three_squares_counts(n_max)
+        assert np.array_equal(table[0::4], table[: n_max // 4 + 1])
+        # r3(n) = 0 exactly at n = 4^a (8b + 7) (Legendre)
+        core = np.arange(n_max + 1)
+        while True:
+            quartered = (core > 0) & (core % 4 == 0)
+            if not np.any(quartered):
+                break
+            core[quartered] //= 4
+        assert np.array_equal(table == 0.0, core % 8 == 7)
+        assert np.all(table >= 0.0)
+
+    @pytest.mark.parametrize("kept", [0, 65536])
+    @pytest.mark.parametrize("n_max", [*range(9), 1601, 4097])
+    def test_split_matches_oracles_at_any_end(self, monkeypatch, kept, n_max):
+        monkeypatch.setattr(coulomb, "_R3_TABLE", np.zeros(0))
+        if kept:
+            coulomb._three_squares_counts(kept)
+        table = coulomb._three_squares_counts(n_max)
+        assert len(coulomb._R3_TABLE) == max(kept, n_max) + 1
+        assert np.array_equal(table, fftconvolve_three_squares_counts(n_max))
+        assert np.array_equal(table, single_cube_three_squares_counts(n_max))
+
+    def test_transforms_stay_at_quarter_length(self, monkeypatch):
+        n_max = 65536
+        lengths = []
+        rfft = coulomb.fft.rfft
+
+        def recording(x, n=None, *args, **kwargs):
+            lengths.append(len(x) if n is None else n)
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(coulomb, "_R3_TABLE", np.zeros(0))
+        monkeypatch.setattr(coulomb.fft, "rfft", recording)
+        table = coulomb._three_squares_counts(n_max)
+        assert lengths
+        assert max(lengths) <= coulomb.fft.next_fast_len(
+            3 * ((n_max - 1) // 4) + 1, real=True)
+        assert np.array_equal(table, single_cube_three_squares_counts(n_max))
 
     def test_prefix_of_cached_table_equals_fresh_build(self, monkeypatch):
         coulomb._three_squares_counts(65536)
@@ -291,6 +340,7 @@ class TestThreeSquaresTable:
         values = np.array([1.0, 6.0 + 1e-9, 12.0 - 2e-4, 8.0])
         assert np.array_equal(coulomb._round_to_integers(values),
                               [1.0, 6.0, 12.0, 8.0])
+        assert np.signbit(coulomb._round_to_integers(np.array([-1e-9]))) == [False]
         values[2] += 0.3
         with pytest.raises(InvariantViolation):
             coulomb._round_to_integers(values)
@@ -311,6 +361,51 @@ class TestThreeSquaresTable:
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              env=env, capture_output=True, text=True)
         assert out.stdout.strip() == "False"
+
+
+class TestEwaldOracle:
+    """The truncated lattice sums against exact Ewald/Poisson values."""
+
+    SUMMANDS = {
+        "gaussian": (gaussian_summand, (15.0, 30.0, 60.0)),
+        "inverse-quartic": (inverse_quartic_summand, (15.0, 30.0, 60.0)),
+        "screened-inverse-square": (
+            screened_inverse_square,
+            tuple((float(l * l), float(l), float(l)) for l in (4, 8, 16)),
+        ),
+    }
+    CASES = [(name, box) for name, (_, boxes) in SUMMANDS.items() for box in boxes]
+
+    @pytest.mark.parametrize("name, box", CASES)
+    def test_split_widths_agree(self, name, box):
+        wide = ewald_lattice_sum(name, box, width=1.5)
+        assert ewald_lattice_sum(name, box, width=1.0) \
+            == pytest.approx(wide, rel=1e-12, abs=0.0)
+
+    def test_gaussian_is_pure_poisson(self):
+        cellvol = (TWO_PI / 15.0) ** 3
+        assert ewald_lattice_sum("gaussian", 15.0) \
+            == pytest.approx(math.pi ** 1.5 - cellvol, rel=1e-15)
+
+    @pytest.mark.parametrize("name, box", CASES)
+    def test_truncation_sits_inside_its_certificate(self, name, box):
+        make, _ = self.SUMMANDS[name]
+        result = riemann_sum(make(), box)
+        exact = ewald_lattice_sum(name, box)
+        # the summands are positive, so the truncated sum undershoots; the
+        # slack covers rounding where the tail is below one ulp
+        slack = 1e-14 * exact
+        assert -slack <= exact - result.value <= result.tail_bound + slack
+
+    def test_cube_sum_has_a_one_over_l_error(self):
+        # L (S(L) - 2 pi^2) -> 2 pi Z(2), with Z(2) = -8.9136329... the
+        # simple-cubic lattice zeta sum of 1/|n|^2, continued
+        limit = 2.0 * math.pi * -8.91363291758
+        gaps = [abs(L * (ewald_lattice_sum("inverse-quartic", L)
+                         - 2.0 * math.pi ** 2) - limit)
+                for L in (15.0, 30.0, 60.0)]
+        assert gaps[0] > 3.0 * gaps[1] > 9.0 * gaps[2]
+        assert gaps[2] < 0.1
 
 
 class TestMollifiedCoulomb:
