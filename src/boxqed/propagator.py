@@ -226,6 +226,11 @@ class _MatrixStep:
         return self.matrix @ coeffs
 
 
+# Step operators one backend keeps, the oldest evicted first.  A residual
+# study asks for three step sizes per rho, 21 at the CLI's default rho list.
+_STEP_CACHE_CAP = 64
+
+
 @dataclass(eq=False)
 class StepBackend:
     """How the fundamental step is realized, with its quadrature knobs.
@@ -234,7 +239,8 @@ class StepBackend:
     "galerkin" (regularized quadrature of kernel matrix elements, one charged
     particle coupled to a single mode along the third axis).  eps is the
     damping regularizer of the oscillatory longitudinal integral; budget caps
-    the total quadrature node count.
+    the total quadrature node count.  ``step_operator`` keeps the last
+    ``_STEP_CACHE_CAP`` operators it built.
     """
 
     kind: str
@@ -290,6 +296,8 @@ class StepBackend:
                 op = _analytic_step_operator(self, rho)
             else:
                 op = _MatrixStep(_galerkin_matrix(self, rho))
+            if len(self._cache) >= _STEP_CACHE_CAP:
+                del self._cache[next(iter(self._cache))]
             self._cache[key] = op
         return op
 

@@ -133,6 +133,17 @@ class TestExitCodes:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--eps-levels", "nan", "eps"),
+        ("--eps-levels", "inf", "eps"),
+        ("--box-levels", "nan", "box lengths"),
+        ("--separation", "0,nan,1", "finite"),
+    ])
+    def test_non_finite_coulomb_inputs_exit_two(self, tmp_path, capsys, flag,
+                                                value, message):
+        assert run(["coulomb-limit", flag, value, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestStudyOutputs:
     def test_propagate_summary_reports_convergence(self, tmp_path):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf
 
@@ -466,6 +468,148 @@ class TestMollifiedCoulomb:
                               chi=lambda K: np.ones(np.asarray(K).shape[:-1]))
         with pytest.raises(ConfigError):
             mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ConfigError, match="eps"):
+            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=eps)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, (20.0, math.nan, 20.0),
+                                   (20.0, 20.0, -math.inf)])
+    def test_non_finite_box_rejected(self, L):
+        with pytest.raises(ConfigError, match="box lengths"):
+            mollified_coulomb(self.unit_pair(), (1.0, 1.0), L, eps=0.5)
+        with pytest.raises(ConfigError, match="box lengths"):
+            riemann_sum(gaussian_summand(), L)
+
+    def test_non_finite_positions_and_charges_rejected(self):
+        pair = self.unit_pair()
+        pair[1, 0] = math.nan
+        with pytest.raises(ConfigError, match="finite"):
+            mollified_coulomb(pair, (1.0, 1.0), 20.0, eps=0.5)
+        with pytest.raises(ConfigError, match="finite"):
+            mollified_coulomb(self.unit_pair(), (1.0, math.inf), 20.0, eps=0.5)
+
+    def test_budget_raises_before_enumerating(self):
+        with pytest.raises(BudgetError, match="budget is 100"):
+            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=0.5,
+                              budget=100)
+        with pytest.raises(BudgetError, match="budget is 100"):
+            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=0.5,
+                              chi=gaussian_summand().phi_fn,
+                              chi_bound=gaussian_summand().bound_fn, budget=100)
+
+
+def _gaussian_slab(positions, charges, L, eps):
+    """The default Gaussian passed as a custom chi: the enumerated route."""
+    summand = gaussian_summand()
+    return mollified_coulomb(positions, charges, L, eps, chi=summand.phi_fn,
+                             chi_bound=summand.bound_fn)
+
+
+def _pairs(positions, charges):
+    x, e = np.asarray(positions, dtype=float), np.asarray(charges, dtype=float)
+    j, l = np.triu_indices(len(e), k=1)
+    return x[j] - x[l], 2.0 * e[j] * e[l]
+
+
+@st.composite
+def charge_clouds(draw):
+    """2-4 charges anywhere within two box lengths of the origin, in an
+    anisotropic box with edges in [2, 20], and eps in [0.5, 2]."""
+    n = draw(st.integers(2, 4))
+    box = np.array([draw(st.floats(2.0, 20.0)) for _ in range(3)])
+    frac = np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+                     for _ in range(n)])
+    charges = [draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+    eps = draw(st.floats(0.5, 2.0))
+    positions = frac * box
+    D, _ = _pairs(positions, charges)
+    assume(np.all(np.linalg.norm(D, axis=1) > 0.0))
+    return positions, charges, box, eps
+
+
+class TestGaussianSplit:
+    """The default-chi sum by the Ewald split, against the slab route."""
+
+    @staticmethod
+    def scale(value, charges):
+        # relative, but absolute once the charges nearly cancel, and never
+        # below the 1e-12 floor of the certificates' max(|value|, 1e-12)
+        _, w = _pairs(np.zeros((len(charges), 3)), charges)
+        return max(abs(value), 1e-2 * float(np.sum(np.abs(w))), 1e-12)
+
+    # the CLI grid but for (40, 0.25), whose slab sum alone takes 2 s
+    @pytest.mark.parametrize("L,eps", [(20.0, 1.0), (20.0, 0.5), (20.0, 0.25),
+                                       (40.0, 1.0), (40.0, 0.5)])
+    def test_cli_grid_matches_slab_route(self, L, eps):
+        pair = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        split = mollified_coulomb(pair, (1.0, 1.0), L, eps)
+        slab = _gaussian_slab(pair, (1.0, 1.0), L, eps)
+        assert abs(split - slab) <= 1e-12 * abs(slab)
+
+    @settings(max_examples=60, deadline=None)
+    @given(charge_clouds())
+    def test_matches_slab_route(self, cloud):
+        positions, charges, box, eps = cloud
+        split = mollified_coulomb(positions, charges, box, eps)
+        slab = _gaussian_slab(positions, charges, box, eps)
+        assert abs(split - slab) <= 1e-8 * self.scale(slab, charges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(charge_clouds(), st.data())
+    def test_lattice_shift_invariance(self, cloud, data):
+        positions, charges, box, eps = cloud
+        shifts = np.array([[data.draw(st.integers(-2, 2)) for _ in range(3)]
+                           for _ in range(len(charges))])
+        value = mollified_coulomb(positions, charges, box, eps)
+        moved = mollified_coulomb(positions + shifts * box, charges, box, eps)
+        assert abs(moved - value) <= 1e-12 * self.scale(value, charges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(charge_clouds(), st.floats(1.2, 2.0))
+    def test_split_width_drops_out(self, cloud, stretch):
+        positions, charges, box, eps = cloud
+        D, w = _pairs(positions, charges)
+        width = max(float(np.prod(box)) ** (1.0 / 3.0) / (2.0 * math.sqrt(math.pi)),
+                    eps)
+        values = [coulomb._gaussian_coulomb_split(D, w, box, eps, b, 1e-6,
+                                                  int(2e8))
+                  for b in (width, stretch * width)]
+        assert abs(values[1] - values[0]) <= 1e-12 * self.scale(values[0],
+                                                                 charges)
+
+    def test_real_side_is_empty_at_width_eps(self, monkeypatch):
+        boxes = []
+        original = coulomb._slab_contributions
+
+        def recording(box, *args, **kwargs):
+            boxes.append(np.array(box))
+            return original(box, *args, **kwargs)
+
+        pair = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 1.0]])
+        monkeypatch.setattr(coulomb, "_slab_contributions", recording)
+        # |V|^(1/3) / (2 sqrt pi) = 0.85 < eps, so the split width is eps
+        value = mollified_coulomb(pair, (1.0, -1.0), 3.0, eps=1.0)
+        assert len(boxes) == 1 and np.all(boxes[0] == 3.0)
+        monkeypatch.undo()
+        slab = _gaussian_slab(pair, (1.0, -1.0), 3.0, 1.0)
+        assert abs(value - slab) <= 1e-12 * abs(slab)
+
+    def test_real_kernel_limits(self):
+        r = np.array([0.0, 1e-12, 1e-6, 0.5, 1.999, 2.001, 30.0])
+        eps, width = 1.0, 3.0
+        values = coulomb._ewald_real_kernel(r, eps, width)
+        origin = 2.0 * math.pi ** 1.5 * (1.0 / eps - 1.0 / width)
+        assert values[0] == origin
+        assert values[1] == pytest.approx(origin, rel=1e-12)
+        assert values[2] == pytest.approx(origin, rel=1e-10)
+        for radius, value in zip(r[3:], values[3:]):
+            direct, _ = integrate.quad(
+                lambda k: 4.0 * math.pi * (math.exp(-(eps * k) ** 2)
+                                           - math.exp(-(width * k) ** 2))
+                * math.sin(k * radius) / (k * radius), 0.0, 10.0, limit=200)
+            assert value == pytest.approx(direct, rel=1e-9, abs=1e-14)
 
 
 class TestContinuumOracle:

@@ -198,6 +198,21 @@ class TestStepBackend:
         assert backend.step_operator(0.25) is first
         assert backend.step_operator(0.125) is not first
 
+    def test_step_cache_is_bounded_oldest_first(self):
+        backend = field_only_backend(cap=2)
+        cap = propagator._STEP_CACHE_CAP
+        rhos = [0.5 / (j + 1) for j in range(cap + 5)]
+        first = backend.step_operator(rhos[0])
+        for rho in rhos[1:]:
+            backend.step_operator(rho)
+        assert len(backend._cache) == cap
+        assert backend.step_operator(rhos[-1]) is backend.step_operator(rhos[-1])
+        back = backend.step_operator(rhos[0])
+        assert back is not first
+        assert len(backend._cache) == cap
+        for old, new in zip(first.mats, back.mats):
+            assert old.tobytes() == new.tobytes()
+
     def test_state_dimensions(self):
         assert field_only_backend(cap=3).state_dim == 4**4
         _, ctx, basis = galerkin_parts(0.5)
