@@ -250,25 +250,18 @@ def _three_squares_counts(n_max: int) -> np.ndarray:
 
 
 def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
-                budget: int = int(2e8), method: str = "auto") -> RiemannResult:
+                budget: int = int(2e8)) -> RiemannResult:
     """Cell-volume-weighted sum of the summand over the nonzero lattice.
 
     The truncation radius doubles until the majorant tail certificate drops
-    below rel_tol times the current value.  ``method`` picks between the
-    radial fast path (cube boxes with radial_fn set) and direct slab
-    enumeration; "auto" prefers the fast path when it applies.
+    below rel_tol times the current value.  A cube box with ``radial_fn`` set
+    sums over three-squares shells; any other box or summand enumerates the
+    lattice in slabs.
     """
     summand.validate()
     box = _as_box(L)
     cellvol = TWO_PI ** 3 / float(np.prod(box))
-    is_cube = bool(np.all(box == box[0]))
-    use_radial = (method == "radial") or (
-        method == "auto" and is_cube and summand.radial_fn is not None
-    )
-    if method == "radial" and not (is_cube and summand.radial_fn is not None):
-        raise ConfigError("radial method needs a cube box and a radial_fn")
-    if method not in ("auto", "slab", "radial"):
-        raise ConfigError(f"unknown riemann_sum method {method!r}")
+    use_radial = bool(np.all(box == box[0])) and summand.radial_fn is not None
 
     radius = 8.0 * TWO_PI / float(np.min(box))
     for _ in range(24):

@@ -126,8 +126,7 @@ class ModelContext:
     """Everything the action and propagator need: mode sets, frame, mollifiers.
 
     modes1 drives V1, modes2 the coupled potential, modes3 the field state
-    space.  Lambda'_2 must be contained in Lambda'_3; ``prime2_in_3`` maps each
-    Lambda'_2 index to its slot in the Lambda'_3 enumeration.  ``frame2``
+    space.  Lambda'_2 must be contained in Lambda'_3.  ``frame2``
     (N2, 2, 3) holds the polarization vectors on Lambda'_2 and ``cols2``
     (N2, 2, 2) the flat Lambda'_3 offsets of the variables (k, l, i) they
     couple to; both are built once, for the batched kernels.
@@ -139,20 +138,16 @@ class ModelContext:
     modes3: ModeSet
     frame: PolarizationFrame
     mollifiers: MollifierPair
-    prime2_in_3: np.ndarray = field(init=False, repr=False, compare=False)
     frame2: np.ndarray = field(init=False, repr=False, compare=False)
     cols2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mapping = []
         for wv in self.modes2.lam_prime:
             if not self.modes3.contains_prime(wv.s):
                 raise ConfigError(
                     f"Lambda'_2 member {wv.s} is missing from Lambda'_3; "
                     "the coupling modes must be a subset of the field modes"
                 )
-            mapping.append(self.modes3.prime_index(wv.s))
-        object.__setattr__(self, "prime2_in_3", np.asarray(mapping, dtype=np.intp))
         _, frame2, cols2 = _mode_arrays(self.modes2, self.frame, self.modes3)
         object.__setattr__(self, "frame2", frame2)
         object.__setattr__(self, "cols2", cols2)

@@ -371,45 +371,62 @@ def _grid_momentum(config: SimulationConfig, grid_points: int) -> tuple:
     return P, mesh
 
 
-def _coupled_field_factors(basis: OscillatorBasis, ctx: ModelContext) -> list:
-    """Per coupling-mode data: (wave vector, e-vectors, psi matrices)."""
-    out = []
-    for pos, wv in enumerate(ctx.modes2.lam_prime):
-        k_idx = int(ctx.prime2_in_3[pos])
-        evecs = ctx.frame.e(wv)
-        psi_ops = {}
-        for l in (1, 2):
-            for i in (1, 2):
-                var = 4 * k_idx + 2 * (l - 1) + (i - 1)
-                psi_ops[(l, i)] = _embed(
-                    sparse.csr_matrix(_psi_variable_matrix(basis, var,
-                                                           ctx.mollifiers.psi)),
-                    var, basis)
-        out.append((wv, evecs, psi_ops))
-    return out
+def _check_basis_constants(basis: OscillatorBasis, config: SimulationConfig) -> None:
+    """Raise unless the basis carries the configuration's hbar, c and volume."""
+    if (basis.hbar, basis.c_light) != (config.hbar, config.c_light) \
+            or abs(basis.volume - config.volume) > 1e-12 * config.volume:
+        raise ConfigError("basis constants disagree with the configuration")
+
+
+def _particle_operators(config: SimulationConfig, ctx: ModelContext,
+                        particle_rep: str, grid_points: int, waves) -> tuple:
+    """One particle's momentum components, p^2, and its field multipliers.
+
+    The third entry maps a wave vector k to the (cos, sin) multiplication
+    operators by g(x) cos(k.x) and g(x) sin(k.x); the plane-wave basis takes
+    g as flat.
+    """
+    if particle_rep == "planewave":
+        p = config.hbar * 2.0 * math.pi * waves / np.asarray(config.L)
+        momenta = [sparse.diags(p[:, c], format="csr", dtype=complex)
+                   for c in range(3)]
+        p_sq = sparse.diags(np.sum(p ** 2, axis=1), format="csr", dtype=complex)
+        return momenta, p_sq, lambda wv: _shift_matrices(waves, wv.s)
+
+    momenta, mesh = _grid_momentum(config, grid_points)
+
+    def multipliers(wv):
+        envelope = np.array([ctx.mollifiers.g(x) for x in mesh])
+        angles = mesh @ np.asarray(wv.k)
+        return (sparse.diags(envelope * np.cos(angles), dtype=complex),
+                sparse.diags(envelope * np.sin(angles), dtype=complex))
+
+    p_sq = momenta[0] @ momenta[0] + momenta[1] @ momenta[1] \
+        + momenta[2] @ momenta[2]
+    return momenta, p_sq, multipliers
 
 
 def assemble_hamiltonian(config: SimulationConfig, basis: OscillatorBasis,
                          particle_rep: str = "planewave",
                          ctx: Optional[ModelContext] = None,
-                         plane_cutoff: int = 1, grid_points: int = 6,
+                         grid_points: int = 6,
                          wave_indices=None) -> OperatorMatrix:
     """Full Hamiltonian on the field basis tensor a truncated particle basis.
 
     Minimal coupling squared, the Coulomb term, and the radiation part; the
     combined index is field-major (kron(field, particle)).  The spectral
-    plane-wave representation needs the spatial cutoff g to be flat over the
-    box; the grid representation applies g pointwise instead.  Coupled
-    assembly handles a single charged particle; any particle count works when
-    every charge vanishes.
+    plane-wave representation (the unit wave cube unless ``wave_indices``
+    names the waves) needs the spatial cutoff g to be flat over the box; the
+    grid representation applies g pointwise instead.  Coupled assembly
+    handles a single charged particle; any particle count works when every
+    charge vanishes.  The combined dimension is checked against the budget
+    before any operator on the combined space is built.
     """
     if particle_rep not in ("planewave", "grid"):
         raise ConfigError(f"unknown particle representation {particle_rep!r}")
     if ctx is None:
         ctx = ModelContext.custom(config, basis.modes, basis.modes, basis.modes)
-    if (basis.hbar, basis.c_light) != (config.hbar, config.c_light) \
-            or abs(basis.volume - config.volume) > 1e-12 * config.volume:
-        raise ConfigError("basis constants disagree with the configuration")
+    _check_basis_constants(basis, config)
     n = config.n_particles
     rad = h_rad(basis).matrix
     if n == 0:
@@ -417,101 +434,55 @@ def assemble_hamiltonian(config: SimulationConfig, basis: OscillatorBasis,
 
     charges = np.asarray(config.charges, dtype=float)
     masses = np.asarray(config.masses, dtype=float)
+    coupled = bool(np.any(charges != 0.0))
+    if coupled and n != 1:
+        raise ConfigError("coupled assembly supports exactly one charged particle")
+    if particle_rep == "grid" and n != 1:
+        raise ConfigError("the grid representation handles one particle")
+    if particle_rep == "planewave" and coupled:
+        _check_flat_g(ctx)
+    waves = _plane_wave_set(1) if wave_indices is None \
+        else np.asarray(wave_indices, dtype=int)
+    one_dim = len(waves) if particle_rep == "planewave" else grid_points ** 3
+    part_dim = one_dim ** n
+    if basis.dim * part_dim > _MAX_DIM:
+        raise BudgetError("combined basis exceeds the workable dimension")
 
-    if not np.any(charges != 0.0):
-        if particle_rep == "planewave":
-            waves = _plane_wave_set(plane_cutoff) if wave_indices is None \
-                else np.asarray(wave_indices, dtype=int)
-            p_sq = np.sum((config.hbar * 2.0 * math.pi * waves
-                           / np.asarray(config.L)) ** 2, axis=1)
-            blocks = [sparse.diags(p_sq / (2.0 * masses[j]), format="csr",
-                                   dtype=complex) for j in range(n)]
-        else:
-            if n != 1:
-                raise ConfigError("the grid representation handles one particle")
-            P, _ = _grid_momentum(config, grid_points)
-            blocks = [(P[0] @ P[0] + P[1] @ P[1] + P[2] @ P[2]) / (2.0 * masses[0])]
-        kinetic = blocks[0]
-        for block in blocks[1:]:
-            kinetic = sparse.kron(kinetic,
-                                  sparse.identity(block.shape[0], dtype=complex),
-                                  format="csr") \
-                + sparse.kron(sparse.identity(kinetic.shape[0], dtype=complex),
-                              block, format="csr")
-        part_dim = kinetic.shape[0]
-        if basis.dim * part_dim > _MAX_DIM:
-            raise BudgetError("combined basis exceeds the workable dimension")
-        total = sparse.kron(rad, sparse.identity(part_dim, dtype=complex),
-                            format="csr") \
-            + sparse.kron(sparse.identity(basis.dim, dtype=complex), kinetic,
-                          format="csr")
-        matrix = total
-    else:
-        if n != 1:
-            raise ConfigError(
-                "coupled assembly supports exactly one charged particle"
-            )
-        e = float(charges[0])
-        m = float(masses[0])
+    momenta, p_sq, multipliers = _particle_operators(config, ctx, particle_rep,
+                                                     grid_points, waves)
+    kinetic = p_sq / (2.0 * masses[0])
+    for m in masses[1:]:
+        kinetic = sparse.kron(kinetic, sparse.identity(one_dim, dtype=complex),
+                              format="csr") \
+            + sparse.kron(sparse.identity(kinetic.shape[0], dtype=complex),
+                          p_sq / (2.0 * m), format="csr")
+    eye_field = sparse.identity(basis.dim, dtype=complex)
+    matrix = sparse.kron(rad, sparse.identity(part_dim, dtype=complex),
+                         format="csr") \
+        + sparse.kron(eye_field, kinetic, format="csr")
+
+    if coupled:
+        e, m = float(charges[0]), float(masses[0])
         pref = math.sqrt(8.0 * math.pi) * config.c_light / config.volume
-        factors = _coupled_field_factors(basis, ctx)
-
-        if particle_rep == "planewave":
-            _check_flat_g(ctx)
-            waves = _plane_wave_set(plane_cutoff) if wave_indices is None \
-                else np.asarray(wave_indices, dtype=int)
-            W = len(waves)
-            p_vals = config.hbar * 2.0 * math.pi * waves / np.asarray(config.L)
-            kinetic = sparse.diags(np.sum(p_vals ** 2, axis=1) / (2.0 * m),
-                                   format="csr", dtype=complex)
-            p_diags = [sparse.diags(p_vals[:, c], format="csr", dtype=complex)
-                       for c in range(3)]
-            A = [sparse.csr_matrix((basis.dim * W, basis.dim * W), dtype=complex)
-                 for _ in range(3)]
-            for wv, evecs, psi_ops in factors:
-                cos_op, sin_op = _shift_matrices(waves, wv.s)
-                for l in (1, 2):
-                    block = sparse.kron(psi_ops[(l, 1)], cos_op, format="csr") \
-                        + sparse.kron(psi_ops[(l, 2)], sin_op, format="csr")
-                    for c in range(3):
-                        weight = pref * evecs[l - 1][c]
-                        if weight != 0.0:
-                            A[c] = A[c] + weight * block
-            P = [sparse.kron(sparse.identity(basis.dim, dtype=complex), p,
-                             format="csr") for p in p_diags]
-            part_dim = W
-        else:
-            Pgrid, mesh = _grid_momentum(config, grid_points)
-            envelope = np.array([ctx.mollifiers.g(x) for x in mesh])
-            kinetic = (Pgrid[0] @ Pgrid[0] + Pgrid[1] @ Pgrid[1]
-                       + Pgrid[2] @ Pgrid[2]) / (2.0 * m)
-            A = [sparse.csr_matrix((basis.dim * len(mesh), basis.dim * len(mesh)),
-                                   dtype=complex) for _ in range(3)]
-            for wv, evecs, psi_ops in factors:
-                angles = mesh @ np.asarray(wv.k)
-                cos_op = sparse.diags(envelope * np.cos(angles), dtype=complex)
-                sin_op = sparse.diags(envelope * np.sin(angles), dtype=complex)
-                for l in (1, 2):
-                    block = sparse.kron(psi_ops[(l, 1)], cos_op, format="csr") \
-                        + sparse.kron(psi_ops[(l, 2)], sin_op, format="csr")
-                    for c in range(3):
-                        weight = pref * evecs[l - 1][c]
-                        if weight != 0.0:
-                            A[c] = A[c] + weight * block
-            P = [sparse.kron(sparse.identity(basis.dim, dtype=complex), p,
-                             format="csr") for p in Pgrid]
-            part_dim = len(mesh)
-
-        if basis.dim * part_dim > _MAX_DIM:
-            raise BudgetError("combined basis exceeds the workable dimension")
-        eye_part = sparse.identity(part_dim, dtype=complex)
-        matrix = sparse.kron(rad, eye_part, format="csr") \
-            + sparse.kron(sparse.identity(basis.dim, dtype=complex), kinetic,
-                          format="csr")
-        coupling = sparse.csr_matrix((basis.dim * part_dim,) * 2, dtype=complex)
-        quadratic = sparse.csr_matrix((basis.dim * part_dim,) * 2, dtype=complex)
+        zero = sparse.csr_matrix((basis.dim * part_dim,) * 2, dtype=complex)
+        A = [zero] * 3
+        for pos, wv in enumerate(ctx.modes2.lam_prime):
+            cos_op, sin_op = multipliers(wv)
+            for l in (1, 2):
+                psi_cos, psi_sin = (
+                    _embed(sparse.csr_matrix(_psi_variable_matrix(
+                        basis, int(var), ctx.mollifiers.psi)), int(var), basis)
+                    for var in ctx.cols2[pos, l - 1])
+                block = sparse.kron(psi_cos, cos_op, format="csr") \
+                    + sparse.kron(psi_sin, sin_op, format="csr")
+                for c in range(3):
+                    weight = pref * ctx.frame2[pos, l - 1, c]
+                    if weight != 0.0:
+                        A[c] = A[c] + weight * block
+        coupling, quadratic = zero, zero
         for c in range(3):
-            coupling = coupling + P[c] @ A[c] + A[c] @ P[c]
+            P = sparse.kron(eye_field, momenta[c], format="csr")
+            coupling = coupling + P @ A[c] + A[c] @ P
             quadratic = quadratic + A[c] @ A[c]
         matrix = matrix - e / (2.0 * m * config.c_light) * coupling \
             + e * e / (2.0 * m * config.c_light ** 2) * quadratic

@@ -51,16 +51,16 @@ class SimulationConfig:
         return self.L[0] * self.L[1] * self.L[2]
 
     def validate(self) -> None:
-        if len(self.L) != 3 or any(not (length > 0.0) for length in self.L):
-            raise ConfigError("box lengths L must be three positive reals")
+        if len(self.L) != 3 or any(not (0.0 < length < math.inf) for length in self.L):
+            raise ConfigError("box lengths L must be three finite positive reals")
         if len(self.M) != 3 or any(int(m) != m or m < 1 for m in self.M):
             raise ConfigError("cutoffs M must be three positive integers")
         if self.M[1] > self.M[2]:
             raise ConfigError(
                 f"cutoff constraint M2 <= M3 violated: M2={self.M[1]}, M3={self.M[2]}"
             )
-        if self.hbar <= 0.0 or self.c_light <= 0.0:
-            raise ConfigError("hbar and c must be positive")
+        if not (0.0 < self.hbar < math.inf and 0.0 < self.c_light < math.inf):
+            raise ConfigError("hbar and c must be positive and finite")
         if self.n_particles < 0:
             raise ConfigError("n_particles must be non-negative")
         if len(self.masses) != self.n_particles or len(self.charges) != self.n_particles:
@@ -68,10 +68,13 @@ class SimulationConfig:
                 "masses and charges must each have length n_particles "
                 f"(got {len(self.masses)}, {len(self.charges)} for n={self.n_particles})"
             )
-        if any(m <= 0.0 for m in self.masses):
-            raise ConfigError("particle masses must be positive")
-        if self.sigma_psi <= 0.0 or self.width_g <= 0.0:
-            raise ConfigError("mollifier parameters sigma_psi and width_g must be positive")
+        if any(not (0.0 < m < math.inf) for m in self.masses):
+            raise ConfigError("particle masses must be positive and finite")
+        if not all(math.isfinite(e) for e in self.charges):
+            raise ConfigError("particle charges must be finite")
+        if not (0.0 < self.sigma_psi < math.inf and 0.0 < self.width_g < math.inf):
+            raise ConfigError(
+                "mollifier parameters sigma_psi and width_g must be positive and finite")
         if self.n_max < 0:
             raise ConfigError("occupation cap n_max must be non-negative")
 
@@ -255,22 +258,10 @@ def build_mode_set(config: SimulationConfig, which: int) -> ModeSet:
     if which not in (1, 2, 3):
         raise ConfigError(f"cutoff index must be 1, 2, or 3, got {which}")
     M = config.M[which - 1]
-    L = tuple(config.L)
-    full = []
-    prime = []
-    for s1 in range(-M, M + 1):
-        for s2 in range(-M, M + 1):
-            for s3 in range(-M, M + 1):
-                s = (s1, s2, s3)
-                if s == (0, 0, 0):
-                    continue
-                wv = WaveVector(s, L)
-                full.append(wv)
-                if _positive_representative(s):
-                    prime.append(wv)
-    full.sort(key=lambda wv: wv.s)
-    prime.sort(key=lambda wv: wv.s)
-    return ModeSet(lam=tuple(full), lam_prime=tuple(prime), L=L, cutoff=M)
+    span = range(-M, M + 1)
+    prime = [(s1, s2, s3) for s1 in span for s2 in span for s3 in span
+             if _positive_representative((s1, s2, s3))]
+    return ModeSet.from_s_triples(prime, config.L, cutoff=M)
 
 
 @dataclass(frozen=True)

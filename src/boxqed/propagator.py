@@ -33,6 +33,7 @@ from .fock import (
     OperatorMatrix,
     OscillatorBasis,
     StateVector,
+    _check_basis_constants,
     _check_flat_g,
     _plane_wave_set,
     h_rad,
@@ -264,9 +265,7 @@ class StepBackend:
         if [wv.s for wv in self.basis.modes.lam_prime] != \
                 [wv.s for wv in self.ctx.modes3.lam_prime]:
             raise ConfigError("backend basis must live on the context's Lambda'_3")
-        if (self.basis.hbar, self.basis.c_light) != (config.hbar, config.c_light) \
-                or abs(self.basis.volume - config.volume) > 1e-12 * config.volume:
-            raise ConfigError("basis constants disagree with the configuration")
+        _check_basis_constants(self.basis, config)
         charges = np.asarray(config.charges, dtype=float)
         if self.kind == "analytic-quadratic":
             if np.any(charges != 0.0) and (self.ctx.modes2.N > 0
@@ -481,6 +480,9 @@ def residual_study(f: StateVector, backend: StepBackend, rho_list,
 # by 16 sigma nodes by the endpoints in a group by the widest per-point block.
 _PHI_PANEL_BYTES = 64 * 2**20
 
+# Central-difference step of the phi-map Jacobian, relative to max(1, |entry|).
+_FD_SCALE = 1e-5
+
 
 @dataclass(frozen=True)
 class PhiMapPoint:
@@ -497,7 +499,6 @@ class PhiMapPoint:
     phi: np.ndarray          # (n, 3) per-particle map
     phi1: np.ndarray         # (4N,) field map
     jacobian_det: Optional[float]
-    fd_step: Optional[float]
     identity_residual: Optional[float]
 
 
@@ -594,7 +595,7 @@ def _phi_values(t: float, s: float, x, y, zs, X, Y, Zs, ctx: ModelContext,
 
 def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
              rel_tol: float = 1e-9, jacobian: bool = True,
-             fd_scale: float = 1e-5, verify: bool = True) -> PhiMapPoint:
+             verify: bool = True) -> PhiMapPoint:
     """Endpoint-difference maps phi and phi_1 with an optional Jacobian.
 
     The maps represent the action difference of two segments sharing the
@@ -608,7 +609,8 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
     homotopy between the earlier endpoints; numerically to the quadrature
     tolerance.  With verify on, the identity is checked against two direct
     action evaluations.  The Jacobian determinant is for the map
-    (z, Z) -> (phi, phi1) by central differences with the recorded step.
+    (z, Z) -> (phi, phi1) by central differences with relative step
+    ``_FD_SCALE``.
     """
     if t <= s:
         raise ConfigError("phi_maps needs t > s")
@@ -653,16 +655,12 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
                 "relative to the direct action difference"
             )
 
-    det = None
-    step_used = None
-    if jacobian:
-        det, step_used = _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx,
-                                           rel_tol, fd_scale)
-    return PhiMapPoint(t, s, x, y, z, X, Y, Z, phi, phi1, det, step_used,
-                       residual)
+    det = _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol) \
+        if jacobian else None
+    return PhiMapPoint(t, s, x, y, z, X, Y, Z, phi, phi1, det, residual)
 
 
-def _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol, fd_scale):
+def _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol):
     """Central-difference determinant of d(phi, phi1) / d(z, Z).
 
     The 2 dim sides base +- h e_col go through one batched ``_phi_values``.
@@ -670,12 +668,12 @@ def _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol, fd_scale):
     n = ctx.config.n_particles
     base = np.concatenate([z.reshape(-1), Z])
     dim = len(base)
-    steps = fd_scale * np.maximum(1.0, np.abs(base))
+    steps = _FD_SCALE * np.maximum(1.0, np.abs(base))
     sides = np.concatenate([base + np.diag(steps), base - np.diag(steps)])
     values = _phi_values(t, s, x, y, sides[:, :3 * n].reshape(2 * dim, n, 3),
                          X, Y, sides[:, 3 * n:], ctx, rel_tol)
     jac = (values[:dim] - values[dim:]).T / (2.0 * steps)
-    return float(np.linalg.det(jac)), fd_scale
+    return float(np.linalg.det(jac))
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +718,7 @@ def sample_endpoints(rng: np.random.Generator, ctx: ModelContext,
 def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
                     ceiling: float = 1.0, seed: int = 0,
                     ctx: Optional[ModelContext] = None,
-                    rel_tol: float = 1e-6, bisect_iters: int = 9,
-                    fd_scale: float = 1e-5) -> RhoStarResult:
+                    rel_tol: float = 1e-6, bisect_iters: int = 9) -> RhoStarResult:
     """Bisect the largest step whose sampled phi-map Jacobians stay >= 1/2.
 
     Endpoints are sampled once (positions uniform over the box, field values
@@ -743,9 +740,8 @@ def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
     def min_det(rho: float) -> float:
         worst = math.inf
         for (xs, ys, zs), (Xs, Ys, Zs) in samples:
-            det, _ = _phi_jacobian_det(rho, 0.0, xs, ys, zs, Xs, Ys, Zs, ctx,
-                                       rel_tol, fd_scale)
-            worst = min(worst, det)
+            worst = min(worst, _phi_jacobian_det(rho, 0.0, xs, ys, zs, Xs, Ys,
+                                                 Zs, ctx, rel_tol))
         return worst
 
     det_ceiling = min_det(ceiling)

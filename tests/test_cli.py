@@ -145,6 +145,16 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["L1 = inf", "hbar = nan", "masses = inf",
+                                      "charges = nan"])
+    def test_non_finite_config_values_exit_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_particles = 1\nmasses = 1.0\ncharges = 0.5\n{line}\n")
+        code = run(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestStudyOutputs:
     def test_propagate_summary_reports_convergence(self, tmp_path):
         assert run(["propagate", "--segments", "4,8,16",

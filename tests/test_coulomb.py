@@ -1,5 +1,6 @@
 """Cutoff Coulomb energy, lattice Riemann sums, and the mollified limit."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -204,8 +205,8 @@ class TestRiemannSum:
 
     def test_radial_and_slab_paths_agree(self):
         summand = gaussian_summand()
-        fast = riemann_sum(summand, 15.0, method="radial")
-        slow = riemann_sum(summand, 15.0, method="slab")
+        fast = riemann_sum(summand, 15.0)
+        slow = riemann_sum(dataclasses.replace(summand, radial_fn=None), 15.0)
         assert fast.value == pytest.approx(slow.value, rel=1e-10)
 
     def test_bump_standard_convergence(self):
@@ -219,7 +220,7 @@ class TestRiemannSum:
 
     def test_shuffled_enumeration_identical(self):
         summand = gaussian_summand()
-        plain = riemann_sum(summand, 12.0, method="slab")
+        plain = riemann_sum(dataclasses.replace(summand, radial_fn=None), 12.0)
         contributions, _ = coulomb._slab_contributions(
             np.full(3, 12.0), plain.radius, summand.phi_fn, int(2e8))
         shuffled = np.random.default_rng(12345).permutation(contributions)
@@ -230,13 +231,8 @@ class TestRiemannSum:
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetError):
-            riemann_sum(inverse_quartic_summand(), 60.0, method="slab", budget=1000)
-
-    def test_method_validation(self):
-        with pytest.raises(ConfigError):
-            riemann_sum(gaussian_summand(), (10.0, 20.0, 30.0), method="radial")
-        with pytest.raises(ConfigError):
-            riemann_sum(gaussian_summand(), 10.0, method="sideways")
+            riemann_sum(dataclasses.replace(inverse_quartic_summand(), radial_fn=None),
+                        60.0, budget=1000)
 
     def test_anisotropic_excess_persists(self):
         # Boxes L = (l^2, l, l) violate the smallness condition

@@ -354,9 +354,11 @@ class TestPotentialV2:
 class TestModelContext:
     def test_nested_mapping(self, ctx_nested):
         c = ctx_nested
-        assert len(c.prime2_in_3) == c.modes2.N
+        assert c.cols2.shape == (c.modes2.N, 2, 2)
         for pos, wv in enumerate(c.modes2.lam_prime):
-            assert c.modes3.lam_prime[c.prime2_in_3[pos]].s == wv.s
+            slot = int(c.cols2[pos, 0, 0]) // 4
+            assert c.modes3.lam_prime[slot].s == wv.s
+            assert np.array_equal(c.cols2[pos], 4 * slot + np.array([[0, 1], [2, 3]]))
 
     def test_rejects_non_subset(self):
         config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI))

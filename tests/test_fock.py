@@ -16,6 +16,7 @@ import pytest
 from numpy.polynomial import hermite as H
 from scipy import sparse
 
+from boxqed import fock
 from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 from boxqed.fock import (
     OperatorMatrix,
@@ -400,7 +401,7 @@ class TestAssembly:
                              n_max=1)
         modes = ModeSet.from_s_triples([K_REP], config.L)
         basis = OscillatorBasis.from_config(config, modes)
-        H = assemble_hamiltonian(config, basis, plane_cutoff=1)
+        H = assemble_hamiltonian(config, basis)
         diag = np.real(H.matrix.diagonal())
         assert H.matrix.nnz == np.count_nonzero(diag)  # purely diagonal
         rng = range(-1, 2)
@@ -419,7 +420,7 @@ class TestAssembly:
         config = coupled_config()
         modes = ModeSet.from_s_triples([K_REP], config.L)
         basis = OscillatorBasis.from_config(config, modes)
-        H = assemble_hamiltonian(config, basis, plane_cutoff=1)
+        H = assemble_hamiltonian(config, basis)
         assert H.hermitian
         rng = np.random.default_rng(5)
         dim = H.dim
@@ -461,7 +462,7 @@ class TestAssembly:
         config = coupled_config(n_max=3)
         modes = ModeSet.from_s_triples([K_REP], config.L)
         basis = OscillatorBasis.from_config(config, modes)
-        H = assemble_hamiltonian(config, basis, plane_cutoff=1)
+        H = assemble_hamiltonian(config, basis)
         waves = np.array([(a, b, c) for a in range(-1, 2) for b in range(-1, 2)
                           for c in range(-1, 2)])
         px = sparse.kron(sparse.identity(basis.dim, dtype=complex),
@@ -475,7 +476,7 @@ class TestAssembly:
         config = coupled_config(n_max=3, sigma_psi=1e8)
         modes = ModeSet.from_s_triples([K_REP], config.L)
         basis = OscillatorBasis.from_config(config, modes)
-        H = assemble_hamiltonian(config, basis, plane_cutoff=1)
+        H = assemble_hamiltonian(config, basis)
         waves = np.array([(a, b, c) for a in range(-1, 2) for b in range(-1, 2)
                           for c in range(-1, 2)])
         _, _, pz_field = momentum_op(basis)
@@ -491,6 +492,27 @@ class TestAssembly:
         h_start = H.matrix @ start
         defect = H.matrix @ (p_total @ start) - p_total @ h_start
         assert np.linalg.norm(defect) <= 1e-8 * np.linalg.norm(h_start)
+
+    @pytest.mark.parametrize("rep,part_dim", [("planewave", 27), ("grid", 64)])
+    def test_dimension_guard_runs_before_any_kron(self, monkeypatch, rep, part_dim):
+        config = coupled_config()
+        basis = OscillatorBasis.from_config(
+            config, ModeSet.from_s_triples([K_REP], config.L))
+        calls = []
+        kron, psi_matrix = sparse.kron, fock._psi_variable_matrix
+
+        def spy(name, func):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sparse, "kron", spy("kron", kron))
+        monkeypatch.setattr(fock, "_psi_variable_matrix", spy("psi", psi_matrix))
+        monkeypatch.setattr(fock, "_MAX_DIM", basis.dim * part_dim - 1)
+        with pytest.raises(BudgetError, match="workable dimension"):
+            assemble_hamiltonian(config, basis, particle_rep=rep, grid_points=4)
+        assert calls == []
 
 
 # ----------------------------------------------------------------------------
@@ -513,7 +535,7 @@ class TestReferenceEvolve:
         config = coupled_config(n_max=1)
         modes = ModeSet.from_s_triples([K_REP], config.L)
         basis = OscillatorBasis.from_config(config, modes)
-        H = assemble_hamiltonian(config, basis, plane_cutoff=1)
+        H = assemble_hamiltonian(config, basis)
         rng = np.random.default_rng(2)
         vec = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
         state = StateVector(vec).normalized()

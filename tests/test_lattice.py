@@ -26,6 +26,16 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError):
             SimulationConfig(n_particles=2, masses=(1.0, 1.0), charges=(1.0,))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["L", "hbar", "c_light", "sigma_psi",
+                                     "width_g", "masses", "charges"])
+    def test_non_finite_values_rejected(self, key, value):
+        fields = {"L": (value, 1.0, 1.0), "masses": (value,), "charges": (value,)}
+        kwargs = {"n_particles": 1, "masses": (1.0,), "charges": (0.5,),
+                  key: fields.get(key, value)}
+        with pytest.raises(ConfigError, match="finite"):
+            SimulationConfig(**kwargs)
+
     def test_volume(self):
         config = SimulationConfig(L=(2.0, 3.0, 4.0))
         assert config.volume == pytest.approx(24.0)

@@ -402,7 +402,6 @@ class TestPhiMaps:
         assert np.abs(point.phi1 - predicted).max() <= 1e-9
         expected_det = (1.0 + rho**2 / 6.0) ** 4
         assert abs(point.jacobian_det - expected_det) <= 1e-6 * expected_det
-        assert point.fd_step == 1e-5
 
     def test_particle_only_determinant_is_one(self):
         config = SimulationConfig(L=BOX, n_particles=2, masses=(1.0, 2.0),
