@@ -24,6 +24,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _whole(value) -> bool:
+    """True for a finite number with no fractional part."""
+    try:
+        return math.isfinite(value) and int(value) == value
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Box geometry, cutoffs, physical constants, mollifier and truncation knobs.
@@ -53,7 +61,7 @@ class SimulationConfig:
     def validate(self) -> None:
         if len(self.L) != 3 or any(not (0.0 < length < math.inf) for length in self.L):
             raise ConfigError("box lengths L must be three finite positive reals")
-        if len(self.M) != 3 or any(int(m) != m or m < 1 for m in self.M):
+        if len(self.M) != 3 or any(not _whole(m) or m < 1 for m in self.M):
             raise ConfigError("cutoffs M must be three positive integers")
         if self.M[1] > self.M[2]:
             raise ConfigError(
@@ -61,8 +69,8 @@ class SimulationConfig:
             )
         if not (0.0 < self.hbar < math.inf and 0.0 < self.c_light < math.inf):
             raise ConfigError("hbar and c must be positive and finite")
-        if self.n_particles < 0:
-            raise ConfigError("n_particles must be non-negative")
+        if not _whole(self.n_particles) or self.n_particles < 0:
+            raise ConfigError("n_particles must be a non-negative integer")
         if len(self.masses) != self.n_particles or len(self.charges) != self.n_particles:
             raise ConfigError(
                 "masses and charges must each have length n_particles "
@@ -75,8 +83,8 @@ class SimulationConfig:
         if not (0.0 < self.sigma_psi < math.inf and 0.0 < self.width_g < math.inf):
             raise ConfigError(
                 "mollifier parameters sigma_psi and width_g must be positive and finite")
-        if self.n_max < 0:
-            raise ConfigError("occupation cap n_max must be non-negative")
+        if not _whole(self.n_max) or self.n_max < 0:
+            raise ConfigError("occupation cap n_max must be a non-negative integer")
 
     @classmethod
     def from_file(cls, path) -> "SimulationConfig":

@@ -5,16 +5,18 @@ These deliberately take a different computational path from the package code
 of vectorized sums) so agreement is meaningful.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy import fft
+from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 from scipy.special import erf, erfc, erfcx
 
 from boxqed.action import adaptive_gauss_legendre
 from boxqed.coulomb import v1_gradient
-from boxqed.errors import BudgetError
+from boxqed.errors import BudgetError, ConfigError
 from boxqed.field import FieldVector, extend_parity, tilde_A_with_derivatives, v2_gradient
 from boxqed.propagator import (
     TWO_PI,
@@ -225,20 +227,88 @@ def looped_phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol, fd_scale):
     return float(np.linalg.det(jac))
 
 
-def einsum_galerkin_matrix(backend, rho):
+def damped_fresnel_quadrature(a, eps, *, span=12.0, step=3.0e-3):
+    """Riemann sum of exp((i a - eps) theta^2) on a symmetric grid.
+
+    The grid reaches span / sqrt(eps) so the damping tail is negligible; the
+    step must resolve the local phase 2 a theta at the edge.
+    """
+    if not a > 0.0 or not eps > 0.0:
+        raise ConfigError("damped quadrature needs a > 0 and eps > 0")
+    edge = span / math.sqrt(eps)
+    n = int(math.ceil(edge / step))
+    theta = np.arange(-n, n + 1) * step
+    return complex(np.sum(np.exp((1j * a - eps) * theta**2)) * step)
+
+
+def extrapolate_inverse_square(values, eps_values):
+    """eps -> 0 limit of a damped Fresnel value through 1 / v^2.
+
+    The damped integral is sqrt(pi / (eps - i a)), so its inverse square is
+    affine in eps and two levels extrapolate it exactly; the principal square
+    root restores the e^{i pi / 4} branch.
+    """
+    vals = np.asarray(values, dtype=complex)
+    eps = np.asarray(eps_values, dtype=float)
+    if vals.shape != eps.shape or len(vals) < 2:
+        raise ConfigError("need matching value/eps sequences of length >= 2")
+    intercept = np.polyfit(eps, 1.0 / vals**2, 1)[1]
+    return complex(1.0 / np.sqrt(intercept))
+
+
+def trapezoid_longitudinal_rule(scale, beta, budget, *, kappa_max=12.0,
+                                eps=4.0e-3):
+    """The damped trapezoid route to the galerkin zeta integral.
+
+    Same contract as ``propagator._longitudinal_rule``: nodes (n,), weights
+    (W, n) and the value the weight rows stand for.  The grid reaches
+    max(10, kappa_max / scale) and its step resolves both the chirp
+    exp(i zeta^2) at the edge and the smooth factor; the integrand is damped
+    by exp(-e zeta^2) at e = eps, eps / 2, eps / 4 and the Richardson
+    combination (t0 - 6 t1 + 8 t2) / 3 is folded into the weights and into
+    the damped closed form of the line integral.  ``budget`` is unused: the
+    assembly checks the node count itself.
+    """
+    z_lim = max(10.0, kappa_max / scale)
+    dz = min(math.pi / (2.5 * z_lim), 0.2 / scale)
+    n_half = int(math.ceil(z_lim / dz))
+    zeta = np.arange(-n_half, n_half + 1) * dz
+
+    def richardson(level):
+        return (level(eps) - 6.0 * level(eps / 2.0)
+                + 8.0 * level(eps / 4.0)) / 3.0
+
+    damping = richardson(lambda e: np.exp(-e * zeta * zeta))
+    weights = dz * (np.exp(1j * zeta * zeta) * damping)[None, :] \
+        * np.exp(-1j * np.outer(beta, zeta))
+    line = richardson(lambda e: np.sqrt(math.pi / (e - 1j))
+                      * np.exp(-beta**2 / (4.0 * (e - 1j))))
+    return zeta, weights, line
+
+
+def longitudinal_data(backend, rho):
+    """(k3 s_f, beta) of the galerkin zeta integral at step rho."""
+    config = backend.ctx.config
+    wv = backend.ctx.modes2.lam_prime[0]
+    s_f = math.sqrt(2.0 * config.hbar * rho / float(config.masses[0]))
+    m3 = np.arange(-backend.wave_cutoff, backend.wave_cutoff + 1)
+    return wv.norm * s_f, (TWO_PI / config.L[2]) * m3 * s_f
+
+
+def einsum_galerkin_matrix(backend, rho, rule):
     """Coupled one-step matrix on (field occupations) x (z-line plane waves).
 
     The per-node outer-product assembly the batched galerkin chunk loop
     replaced: every node forms the full (a,b,e,f) x (c,d,g,h) pair tensor
-    with einsum, and each eps Richardson level has its own accumulator.
+    with einsum.  ``rule`` is the (zeta, weights, line) triple of the
+    longitudinal integral, as ``propagator._longitudinal_rule`` returns it.
 
     Transverse endpoint integrals are exact Gaussians, each polarization
     block is an exact four-variable generating-function Gaussian per node,
-    and the remaining periodic x3 and oscillatory w3 integrals are a
-    trapezoid rule and a damped Fresnel grid with Richardson extrapolation
-    in the damping parameter.  The kappa -> infinity limit of the integrand
-    is split off and integrated in closed form, so the vanishing-coupling
-    case reproduces the analytic backend exactly.
+    and the remaining periodic x3 integral is a trapezoid rule.  The
+    kappa -> infinity limit of the integrand is split off and integrated
+    through ``line``, so the vanishing-coupling case reproduces the analytic
+    backend exactly.
     """
     ctx = backend.ctx
     config = ctx.config
@@ -255,7 +325,6 @@ def einsum_galerkin_matrix(backend, rho):
     _guard_step_size(rho, omega)
     lam_sq = omega / (hbar * vol)
     s3 = wv.s[2]
-    L3 = config.L[2]
 
     evecs = ctx.frame.e(wv)
     gamma = e_ch * math.sqrt(8.0 * math.pi) / vol
@@ -293,19 +362,7 @@ def einsum_galerkin_matrix(backend, rho):
         )
     m3 = np.arange(-backend.wave_cutoff, backend.wave_cutoff + 1)
     s_f = math.sqrt(2.0 * hbar * rho / m_p)
-    beta = (TWO_PI / L3) * m3 * s_f
-
-    # Damped Fresnel grid in the scaled longitudinal displacement.
-    z_lim = max(10.0, backend.kappa_max / (k3 * s_f))
-    dz = min(math.pi / (2.5 * z_lim), 0.2 / (k3 * s_f))
-    n_half = int(math.ceil(z_lim / dz))
-    zeta = np.arange(-n_half, n_half + 1) * dz
-    if backend.x3_nodes * len(zeta) > backend.budget:
-        raise BudgetError(
-            f"galerkin quadrature wants {backend.x3_nodes * len(zeta)} nodes, "
-            f"over the budget of {backend.budget}; raise the budget or eps"
-        )
-    eps_levels = (backend.eps, backend.eps / 2.0, backend.eps / 4.0)
+    zeta, weights, line = rule
 
     base_blocks = [
         _field_block_tensors(np.zeros((1, 4)), etas[l], coupling, m_base,
@@ -316,7 +373,7 @@ def einsum_galerkin_matrix(backend, rho):
     pair_base = np.einsum("abcd,efgh->abefcdgh",
                           base_blocks[0], base_blocks[1]).reshape(flat, flat)
 
-    acc = np.zeros((len(eps_levels), W, W, flat * flat), dtype=complex)
+    acc = np.zeros((W, W, flat * flat), dtype=complex)
     chunk = 512
     same_blocks = etas[0] == etas[1]
     for j in range(backend.x3_nodes):
@@ -340,32 +397,54 @@ def einsum_galerkin_matrix(backend, rho):
             pair = np.einsum("zabcd,zefgh->zabefcdgh", block0,
                              block1).reshape(len(zc), flat * flat)
             pair -= pair_base.reshape(-1)[None, :]
-            osc = np.exp(1j * zc * zc)[None, :] \
-                * np.exp(-1j * np.outer(beta, zc))
-            for pos, eps in enumerate(eps_levels):
-                weights = osc * np.exp(-eps * zc * zc)[None, :]
-                partial = weights @ pair
-                acc[pos] += np.einsum("ab,bF->abF", x_fac, partial)
+            partial = weights[:, start:start + chunk] @ pair
+            acc += np.einsum("ab,bF->abF", x_fac, partial)
 
-    prefactor = dz / (backend.x3_nodes * math.sqrt(math.pi)) \
-        * complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
-    totals = []
-    for pos, eps in enumerate(eps_levels):
-        total = prefactor * acc[pos]
-        eps_c = eps - 1j
-        free = (complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
-                / math.sqrt(math.pi)) * np.sqrt(math.pi / eps_c) \
-            * np.exp(-beta**2 / (4.0 * eps_c))
-        for b in range(W):
-            total[b, b] += free[b] * pair_base.reshape(-1)
-        totals.append(total)
-    rich = (totals[0] - 6.0 * totals[1] + 8.0 * totals[2]) / 3.0
+    normal = np.exp(-0.25j * math.pi) / math.sqrt(math.pi)
+    total = normal / backend.x3_nodes * acc
+    for b in range(W):
+        total[b, b] += normal * line[b] * pair_base.reshape(-1)
 
     global_phase = np.exp(2j * rho * omega) \
         * np.exp(-1j * rho * float(p_perp @ p_perp) / (2.0 * m_p * hbar))
-    rich = global_phase * rich.reshape(W, W, flat, flat)
-    matrix = np.transpose(rich, (2, 0, 3, 1)).reshape(flat * W, flat * W)
+    total = global_phase * total.reshape(W, W, flat, flat)
+    matrix = np.transpose(total, (2, 0, 3, 1)).reshape(flat * W, flat * W)
     return matrix
+
+
+def looped_coeff_tables(lam_tilde, mu, cap):
+    """Taylor tables of exp(u^T lam_tilde u + mu . u), one entry at a time.
+
+    The per-entry loop over the multi-indices sorted by total degree that
+    the degree-by-degree gathers replaced; shape (batch, R, R, R, R).
+    """
+    R = cap + 1
+    batch = lam_tilde.shape[0]
+    c = np.zeros((batch, R, R, R, R), dtype=complex)
+    c[:, 0, 0, 0, 0] = 1.0
+    alphas = sorted(itertools.product(range(R), repeat=4), key=sum)
+    for alpha in alphas[1:]:
+        i = next(ax for ax in range(4) if alpha[ax] > 0)
+        acc = np.zeros(batch, dtype=complex)
+        reduced = list(alpha)
+        reduced[i] -= 1
+        if mu is not None:
+            acc += mu[:, i] * c[(slice(None), *reduced)]
+        for j in range(4):
+            idx = list(reduced)
+            idx[j] -= 1
+            if idx[j] < 0:
+                continue
+            acc = acc + 2.0 * lam_tilde[:, i, j] * c[(slice(None), *idx)]
+        c[(slice(None), *alpha)] = acc / alpha[i]
+    return c
+
+
+def eigh_reference_evolve(H, state, t, hbar=1.0):
+    """exp(-i H t / hbar) applied to a state through a dense eigendecomposition."""
+    vals, vecs = eigh(H.matrix.toarray())
+    phases = np.exp(-1j * vals * t / hbar)
+    return vecs @ (phases * (vecs.conj().T @ state.coefficients))
 
 
 def fftconvolve_three_squares_counts(n_max: int) -> np.ndarray:

@@ -141,6 +141,43 @@ class TestAdaptiveQuadrature:
             adaptive_gauss_legendre(lambda t: np.abs(t - 1.0 / 3.0),
                                     rel_tol=1e-17, abs_floor=0.0, max_depth=4)
 
+    @settings(max_examples=30, deadline=None)
+    @given(start=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0),
+           where=st.floats(0.0, 0.99), column=st.integers(0, 2))
+    def test_nan_anywhere_raises(self, start, width, where, column):
+        # NaN from a random point on, in one column of a vector integrand;
+        # the first panel's last node lies past it
+        cut = start + where * width
+
+        def integrand(t):
+            out = np.stack([np.ones_like(t), t, t * t], axis=-1)
+            out[t >= cut, column] = math.nan
+            return out
+
+        with pytest.raises(InvariantViolation, match="not finite"):
+            adaptive_gauss_legendre(integrand, start, start + width)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kink=st.floats(0.01, 0.99), slope=st.floats(0.1, 10.0))
+    def test_kink_at_a_random_point_converges(self, kink, slope):
+        got = adaptive_gauss_legendre(lambda t: slope * np.abs(t - kink))
+        exact = 0.5 * slope * (kink**2 + (1.0 - kink) ** 2)
+        assert abs(got - exact) <= 1e-10 * exact
+
+    @settings(max_examples=30, deadline=None)
+    @given(cusp=st.floats(0.0, 1.0), depth=st.integers(1, 6))
+    def test_unreachable_tolerance_raises(self, cusp, depth):
+        # sqrt|t - c| has an unbounded derivative at c, wherever c falls, so
+        # the panel holding it never meets a tolerance below rounding
+        f = lambda t: np.sqrt(np.abs(t - cusp))
+        with pytest.raises(BudgetError, match=f"maximum depth {depth}"):
+            adaptive_gauss_legendre(f, rel_tol=1e-20, abs_floor=0.0,
+                                    max_depth=depth)
+        # the same integrand against its closed form at a reachable tolerance
+        exact = (2.0 / 3.0) * (cusp**1.5 + (1.0 - cusp) ** 1.5)
+        assert abs(adaptive_gauss_legendre(f, rel_tol=1e-6, max_depth=40)
+                   - exact) <= 1e-5 * exact
+
 
 class TestSegmentAction:
     def test_decoupled_unit_example(self):

@@ -34,6 +34,7 @@ from boxqed.fock import (
 )
 from boxqed.field import ModelContext
 from boxqed.lattice import ModeSet, SimulationConfig
+from oracles import eigh_reference_evolve
 
 TWO_PI = 2.0 * math.pi
 K_REP = (0, 0, 1)
@@ -541,6 +542,28 @@ class TestReferenceEvolve:
         state = StateVector(vec).normalized()
         out = reference_evolve(H, state, t=0.9)
         assert abs(out.norm - 1.0) <= 1e-10
+
+    def test_matches_dense_eigendecomposition_on_criterion_6(self):
+        """The 567-dimensional coupled plane-wave Hamiltonian of criterion 6,
+        against the dense eigh route."""
+        box = (2.0 * math.pi,) * 3
+        one = ModeSet.from_s_triples([(0, 0, 1)], box)
+        empty = ModeSet.from_s_triples([], box)
+        config = SimulationConfig(L=box, n_particles=1, masses=(1.0,),
+                                  charges=(0.9,), sigma_psi=1e6)
+        ctx = ModelContext.custom(config, empty, one, one)
+        basis = OscillatorBasis(one, cap=2, volume=config.volume)
+        waves = np.array([(0, 0, m) for m in range(-3, 4)])
+        hamiltonian = assemble_hamiltonian(config, basis,
+                                           particle_rep="planewave", ctx=ctx,
+                                           wave_indices=waves)
+        assert hamiltonian.dim == 567
+        rng = np.random.default_rng(6)
+        vec = rng.normal(size=567) + 1j * rng.normal(size=567)
+        state = StateVector(vec).normalized()
+        out = reference_evolve(hamiltonian, state, 0.5)
+        expected = eigh_reference_evolve(hamiltonian, state, 0.5)
+        assert np.abs(out.coefficients - expected).max() <= 1e-12
 
     def test_non_hermitian_generator_is_rejected(self, basis):
         lopsided = OperatorMatrix(

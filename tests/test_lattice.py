@@ -36,6 +36,13 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError, match="finite"):
             SimulationConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1.5])
+    @pytest.mark.parametrize("key", ["M", "n_max", "n_particles"])
+    def test_integer_fields_reject_non_integers(self, key, value):
+        fields = {"M": (value, 1, 1)}
+        with pytest.raises(ConfigError, match="integer"):
+            SimulationConfig(**{key: fields.get(key, value)})
+
     def test_volume(self):
         config = SimulationConfig(L=(2.0, 3.0, 4.0))
         assert config.volume == pytest.approx(24.0)

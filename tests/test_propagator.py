@@ -1,11 +1,13 @@
 """Step operators, composed propagation, phi maps, and the offset-damped step."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from boxqed import ModeSet, SimulationConfig
 from boxqed.action import Subdivision
@@ -22,8 +24,6 @@ from boxqed.propagator import (
     StepBackend,
     compose,
     convergence_study,
-    damped_fresnel_quadrature,
-    extrapolate_inverse_square,
     fit_growth_rate,
     fresnel_gaussian,
     fundamental_step,
@@ -39,13 +39,23 @@ from boxqed.propagator import (
 )
 from boxqed import propagator
 from boxqed.lattice import build_mode_set
-from boxqed.propagator import _earlier_integrand, _galerkin_matrix
+from boxqed.propagator import (
+    _coeff_tables,
+    _earlier_integrand,
+    _galerkin_matrix,
+    _longitudinal_rule,
+)
 from oracles import (
+    damped_fresnel_quadrature,
     einsum_galerkin_matrix,
+    extrapolate_inverse_square,
+    longitudinal_data,
+    looped_coeff_tables,
     looped_earlier_integrand,
     looped_phi_jacobian_det,
     looped_phi_values,
     step_matrix_by_quadrature,
+    trapezoid_longitudinal_rule,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -167,9 +177,11 @@ class TestStepBackend:
         backend = field_only_backend()
         with pytest.raises(ConfigError):
             StepBackend("trotter", backend.basis, backend.ctx)
-        with pytest.raises(ConfigError):
-            StepBackend("analytic-quadratic", backend.basis, backend.ctx,
-                        eps=0.0)
+        # the undamped Filon rule has no regularizer and no cutoff to set
+        for knob in ({"eps": 4e-3}, {"kappa_max": 12.0}):
+            with pytest.raises(TypeError):
+                StepBackend("analytic-quadratic", backend.basis, backend.ctx,
+                            **knob)
 
     def test_rejects_coupled_analytic(self):
         config, ctx, basis = galerkin_parts(1.0)
@@ -770,27 +782,155 @@ class TestGalerkinBackend:
         backend = StepBackend("galerkin", basis, ctx, transverse=transverse,
                               x3_nodes=x3_nodes)
         matrix = _galerkin_matrix(backend, rho)
-        expected = einsum_galerkin_matrix(backend, rho)
+        rule = _longitudinal_rule(*longitudinal_data(backend, rho),
+                                  backend.budget)
+        expected = einsum_galerkin_matrix(backend, rho, rule)
         assert matrix.shape == expected.shape
         scale = np.abs(expected).max()
         assert np.abs(matrix - expected).max() <= 1e-12 * scale
 
     def test_step_cache_follows_knobs(self):
         _, ctx, basis = galerkin_parts(0.9)
-        backend = StepBackend("galerkin", basis, ctx, eps=4e-3)
-        backend.step_operator(0.5)
-        backend.eps = 4e-2
-        fresh = StepBackend("galerkin", basis, ctx, eps=4e-2)
+        backend = StepBackend("galerkin", basis, ctx)
+        stale = backend.step_operator(0.5).matrix
+        backend.transverse = (1, 0)
+        fresh = StepBackend("galerkin", basis, ctx, transverse=(1, 0))
         expected = fresh.step_operator(0.5).matrix
         matrix = backend.step_operator(0.5).matrix
-        assert np.abs(matrix - expected).max() <= 1e-14 * np.abs(expected).max()
+        scale = np.abs(expected).max()
+        assert np.abs(stale - expected).max() > 1e-6 * scale
+        assert np.abs(matrix - expected).max() <= 1e-14 * scale
 
     def test_budget_guards(self):
         config, ctx, basis = galerkin_parts(0.9)
         strict = StepBackend("galerkin", basis, ctx, budget=100)
         with pytest.raises(BudgetError):
             strict.step_operator(0.5)
+        # the chirp rule's scalar nodes grow like 1 / rho
+        with pytest.raises(BudgetError, match="chirp"):
+            StepBackend("galerkin", basis, ctx).step_operator(1e-4)
         wide = OscillatorBasis(ONE_MODE, cap=6, volume=config.volume)
         heavy = StepBackend("galerkin", wide, ctx)
         with pytest.raises(BudgetError, match="accumulator"):
             heavy.step_operator(0.5)
+
+
+# The four step sizes of criterion 6's meshes 1, 2, 4 and 8.
+MESH_RHOS = (0.5, 0.25, 0.125, 0.0625)
+
+
+def _panel_edges(zeta, panel):
+    """Edges of one 16-node Filon panel, from its Gauss-Legendre nodes."""
+    nodes = zeta[16 * panel:16 * panel + 16]
+    gl = np.polynomial.legendre.leggauss(16)[0]
+    center = nodes.mean()
+    half = (nodes[-1] - nodes[0]) / (gl[-1] - gl[0])
+    return center - half, center + half
+
+
+def _chirp_moments(lo, hi, beta):
+    """Integrals of exp(i (zeta^2 - beta zeta)) and zeta times it over
+    [lo, hi], through erf at complex argument."""
+    rot = np.exp(0.25j * math.pi)
+    shift = beta / 2.0
+
+    def fresnel(u):
+        return 0.5 * math.sqrt(math.pi) * rot * erf(u / rot)
+
+    def chirp(z):
+        return np.exp(1j * (z * z - beta * z))
+
+    zeroth = np.exp(-0.25j * beta**2) * (fresnel(hi - shift) - fresnel(lo - shift))
+    # zeta = (zeta - beta / 2) + beta / 2, and the first part is exact
+    first = (chirp(hi) - chirp(lo)) / 2j + shift * zeroth
+    return zeroth, first
+
+
+class TestFilonRule:
+    @pytest.mark.parametrize("rho", MESH_RHOS)
+    def test_weight_rows_sum_to_the_line_integral(self, rho):
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx)
+        scale, beta = longitudinal_data(backend, rho)
+        zeta, weights, line = _longitudinal_rule(scale, beta, backend.budget)
+        closed = math.sqrt(math.pi) * np.exp(0.25j * math.pi) \
+            * np.exp(-0.25j * beta**2)
+        assert len(zeta) == 96
+        assert np.abs(line - closed).max() <= 1e-14
+        assert np.abs(weights.sum(axis=1) - closed).max() <= 1e-9
+
+    @pytest.mark.parametrize("rho", MESH_RHOS)
+    def test_interior_panel_moments_match_erf(self, rho):
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx)
+        scale, beta = longitudinal_data(backend, rho)
+        zeta, weights, _ = _longitudinal_rule(scale, beta, backend.budget)
+        panels = len(zeta) // 16
+        for panel in range(1, panels - 1):
+            lo, hi = _panel_edges(zeta, panel)
+            cols = slice(16 * panel, 16 * panel + 16)
+            zeroth, first = _chirp_moments(lo, hi, beta)
+            got0 = weights[:, cols].sum(axis=1)
+            got1 = weights[:, cols] @ zeta[cols]
+            assert np.abs(got0 - zeroth).max() <= 1e-12 * np.abs(zeroth).max()
+            assert np.abs(got1 - first).max() <= 1e-12 * np.abs(first).max()
+
+    @pytest.mark.parametrize("transverse", [(0, 0), (1, 0)])
+    def test_self_convergence_under_wider_reach_and_finer_panels(
+            self, transverse, monkeypatch):
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx, transverse=transverse)
+        base = [_galerkin_matrix(backend, rho) for rho in MESH_RHOS]
+        monkeypatch.setattr(propagator, "_FILON_REACH",
+                            2.0 * propagator._FILON_REACH)
+        monkeypatch.setattr(propagator, "_FILON_PANEL",
+                            0.5 * propagator._FILON_PANEL)
+        for rho, coarse in zip(MESH_RHOS, base):
+            fine = _galerkin_matrix(backend, rho)
+            assert np.abs(fine - coarse).max() <= 1e-9 * np.abs(fine).max()
+
+    def test_closer_to_the_wide_trapezoid_route_than_the_narrow_one(
+            self, monkeypatch):
+        """At each mesh step the Filon matrix is nearer the damped trapezoid
+        route at kappa_max = 24 than that route at kappa_max = 12 is."""
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx)
+        filon = [_galerkin_matrix(backend, rho) for rho in MESH_RHOS]
+        routes = {}
+        for kappa_max in (12.0, 24.0):
+            monkeypatch.setattr(
+                propagator, "_longitudinal_rule",
+                functools.partial(trapezoid_longitudinal_rule,
+                                  kappa_max=kappa_max))
+            routes[kappa_max] = [_galerkin_matrix(backend, rho)
+                                 for rho in MESH_RHOS]
+        for new, narrow, wide in zip(filon, routes[12.0], routes[24.0]):
+            assert np.abs(new - wide).max() < np.abs(narrow - wide).max()
+
+    def test_trapezoid_route_assembles_like_the_einsum_oracle(
+            self, monkeypatch):
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx, x3_nodes=4)
+        rule = trapezoid_longitudinal_rule(*longitudinal_data(backend, 0.5),
+                                           backend.budget)
+        expected = einsum_galerkin_matrix(backend, 0.5, rule)
+        monkeypatch.setattr(propagator, "_longitudinal_rule",
+                            trapezoid_longitudinal_rule)
+        matrix = _galerkin_matrix(backend, 0.5)
+        assert np.abs(matrix - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestCoeffTables:
+    @pytest.mark.parametrize("cap", [0, 1, 2, 4])
+    @pytest.mark.parametrize("with_mu", [False, True])
+    def test_matches_looped_oracle(self, cap, with_mu):
+        rng = np.random.default_rng(cap + 10 * with_mu)
+        batch = 5
+        lam = rng.normal(size=(batch, 4, 4)) + 1j * rng.normal(size=(batch, 4, 4))
+        lam = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
+        mu = rng.normal(size=(batch, 4)) + 1j * rng.normal(size=(batch, 4)) \
+            if with_mu else None
+        got = _coeff_tables(lam, mu, cap)
+        expected = looped_coeff_tables(lam, mu, cap)
+        assert got.shape == expected.shape == (batch,) + (cap + 1,) * 4
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
