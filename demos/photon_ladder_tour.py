@@ -21,9 +21,9 @@ K = (0, 0, 1)
 
 
 def main():
-    config = SimulationConfig(L=BOX, M=(1, 1, 1), n_max=4)
+    config = SimulationConfig(L=BOX, M=(1, 1, 1))
     modes = ModeSet.from_s_triples([K], BOX)
-    basis = OscillatorBasis.from_config(config, modes)
+    basis = OscillatorBasis.from_config(config, modes, 4)
     print(f"one mode, cap {basis.cap}: {basis.n_vars} real variables, "
           f"dimension {basis.dim}")
 

@@ -8,41 +8,17 @@
 
 import math
 
-import numpy as np
-
-from boxqed.coulomb import LatticeSummand, riemann_sum
+from boxqed.coulomb import (
+    inverse_quartic_summand,
+    riemann_sum,
+    screened_inverse_square_summand,
+)
 
 TWO_PI = 2.0 * math.pi
 
 
-def inverse_quartic():
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 / (r * r * (1.0 + r * r))
-
-    return LatticeSummand(
-        phi_fn=lambda K: radial(np.linalg.norm(K, axis=-1)),
-        bound_fn=lambda r: float(radial(r)),
-        radial_fn=radial,
-        name="inverse-quartic",
-        analytic_limit=2.0 * math.pi ** 2,
-    )
-
-
-def screened():
-    def phi(K):
-        n2 = np.einsum("...i,...i->...", K, K)
-        return np.exp(-n2) / n2
-
-    return LatticeSummand(
-        phi_fn=phi,
-        bound_fn=lambda r: math.exp(-min(r * r, 700.0)) / (r * r),
-        name="screened-inverse-square",
-    )
-
-
 def main():
-    summand = inverse_quartic()
+    summand = inverse_quartic_summand()
     target = summand.analytic_limit
     print(f"cube boxes, target integral {target:.5f}:")
     for L in (15.0, 30.0, 60.0):
@@ -52,10 +28,11 @@ def main():
               f"({result.n_points} points, tail <= {result.tail_bound:.1e})")
 
     print("\nflattened boxes (l^2, l, l), screened 1/|k|^2 summand:")
-    integral = 2.0 * math.pi ** 1.5
+    screened = screened_inverse_square_summand()
+    integral = screened.analytic_limit
     for ell in (4, 8, 16):
         box = (float(ell * ell), float(ell), float(ell))
-        result = riemann_sum(summand=screened(), L=box)
+        result = riemann_sum(screened, box)
         cellvol = TWO_PI ** 3 / (box[0] * box[1] * box[2])
         k1 = TWO_PI / box[0]
         site = cellvol * math.exp(-k1 * k1) / (k1 * k1)

@@ -31,6 +31,8 @@ from .action import (
 )
 from .fock import OscillatorBasis, StateVector
 from .propagator import (
+    AnalyticQuadraticStep,
+    GalerkinStep,
     StepBackend,
     compose,
     convergence_study,
@@ -65,6 +67,8 @@ __all__ = [
     "segment_action",
     "OscillatorBasis",
     "StateVector",
+    "AnalyticQuadraticStep",
+    "GalerkinStep",
     "StepBackend",
     "compose",
     "convergence_study",

@@ -19,7 +19,12 @@ import numpy as np
 from scipy.special import erf
 
 from . import __version__
-from .coulomb import LatticeSummand, mollified_coulomb, riemann_sum
+from .coulomb import (
+    inverse_quartic_summand,
+    mollified_coulomb,
+    riemann_sum,
+    screened_inverse_square_summand,
+)
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .field import ModelContext
 from .fock import (
@@ -139,36 +144,8 @@ def _run_coulomb_limit(params, config, seed):
         "rows": len(rows), "final_abs_error": rows[-1][4]}
 
 
-def _inverse_quartic_summand():
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 / (r * r * (1.0 + r * r))
-
-    return LatticeSummand(
-        phi_fn=lambda K: radial(np.linalg.norm(K, axis=-1)),
-        bound_fn=lambda r: float(radial(r)),
-        radial_fn=radial,
-        name="inverse-quartic",
-        analytic_limit=2.0 * math.pi**2,
-    )
-
-
-def _screened_inverse_square_summand():
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r * r) / (r * r)
-
-    return LatticeSummand(
-        phi_fn=lambda K: radial(np.linalg.norm(K, axis=-1)),
-        bound_fn=lambda r: math.exp(-min(r * r, 700.0)) / (r * r),
-        radial_fn=radial,
-        name="screened-inverse-square",
-        analytic_limit=2.0 * math.pi**1.5,
-    )
-
-
 def _run_riemann(params, config, seed):
-    summand = _inverse_quartic_summand()
+    summand = inverse_quartic_summand()
     rows = []
     for edge in params["box_levels"]:
         result = riemann_sum(summand, float(edge))
@@ -177,7 +154,7 @@ def _run_riemann(params, config, seed):
                      abs(result.value - summand.analytic_limit)))
     # anisotropic boxes L = (l^2, l, l) keep a positive excess over the
     # integral however large l grows
-    screened = _screened_inverse_square_summand()
+    screened = screened_inverse_square_summand()
     for ell in params["anisotropic_ells"]:
         box = (float(ell * ell), float(ell), float(ell))
         result = riemann_sum(screened, box)
@@ -194,8 +171,7 @@ def _run_riemann(params, config, seed):
 
 def _run_fock_spectrum(params, config, seed):
     modes = _mode_set(params["mode"], config)
-    basis = OscillatorBasis(modes, params["cap"], hbar=config.hbar,
-                            c_light=config.c_light, volume=config.volume)
+    basis = OscillatorBasis.from_config(config, modes, params["cap"])
     energies = h_rad(basis).matrix.diagonal().real
     levels, counts = np.unique(energies, return_counts=True)
     rows = [(energy, int(count)) for energy, count in zip(levels, counts)]
@@ -218,8 +194,7 @@ def _run_action_eval(params, config, seed):
 def _propagate_backend(params, config):
     modes = _mode_set(params["mode"], config)
     empty = _empty_modes(config)
-    basis = OscillatorBasis(modes, params["cap"], hbar=config.hbar,
-                            c_light=config.c_light, volume=config.volume)
+    basis = OscillatorBasis.from_config(config, modes, params["cap"])
     if params["backend"] == "galerkin":
         ctx = ModelContext.custom(config, empty, modes, modes)
         return StepBackend("galerkin", basis, ctx), basis, ctx
@@ -264,8 +239,7 @@ def _run_residual(params, config, seed):
                           "configurations; set n_particles = 0")
     modes = _mode_set(params["mode"], config)
     empty = _empty_modes(config)
-    basis = OscillatorBasis(modes, params["cap"], hbar=config.hbar,
-                            c_light=config.c_light, volume=config.volume)
+    basis = OscillatorBasis.from_config(config, modes, params["cap"])
     ctx = ModelContext.custom(config, empty, empty, modes)
     backend = StepBackend("analytic-quadratic", basis, ctx)
     study = residual_study(_field_state(basis, seed), backend,
@@ -294,8 +268,7 @@ def _run_g_equivalence(params, config, seed):
                           "configurations; set n_particles = 0")
     modes = _mode_set(params["mode"], config)
     empty = _empty_modes(config)
-    basis = OscillatorBasis(modes, params["cap"], hbar=config.hbar,
-                            c_light=config.c_light, volume=config.volume)
+    basis = OscillatorBasis.from_config(config, modes, params["cap"])
     ctx = ModelContext.custom(config, modes, empty, modes)
     backend = StepBackend("analytic-quadratic", basis, ctx)
     f = _field_state(basis, seed)

@@ -22,6 +22,10 @@ from .lattice import ModeSet, SimulationConfig
 TWO_PI = 2.0 * math.pi
 PI_SQ = math.pi ** 2
 
+# Cap on the lattice points of one slab enumeration, checked before they are
+# allocated.
+_POINT_BUDGET = int(2e8)
+
 
 def _deterministic_sum(values: np.ndarray) -> float:
     """Order-independent reduction: sort, then sum.
@@ -67,13 +71,8 @@ class LatticeSummand:
             raise InvariantViolation(
                 f"|Phi| exceeds its radial majorant for '{self.name}'"
             )
-        tail, _ = integrate.quad(
-            lambda r: r * r * float(self.bound_fn(r)), 1.0, np.inf, limit=200
-        )
-        if not math.isfinite(tail):
-            raise InvariantViolation(
-                f"r^2 majorant for '{self.name}' is not integrable"
-            )
+        _upper_quad(lambda r: r * r * float(self.bound_fn(r)), 1.0,
+                    f"the r^2 majorant for '{self.name}'")
 
 
 @dataclass(frozen=True)
@@ -101,39 +100,48 @@ def _cell_diagonal(box: np.ndarray) -> float:
     return TWO_PI * float(np.linalg.norm(1.0 / box))
 
 
+def _upper_quad(integrand, lower: float, what: str) -> float:
+    """Integral of a non-negative integrand over [lower, inf) plus quad's
+    error estimate; ``InvariantViolation`` when quad reports a problem or
+    returns a non-finite or negative value."""
+    out = integrate.quad(integrand, lower, np.inf, limit=200, full_output=1)
+    value, error = out[0], out[1]
+    if len(out) > 3 or not (math.isfinite(value + error) and value >= 0.0):
+        reason = out[3].splitlines()[0] if len(out) > 3 else f"value {value!r}"
+        raise InvariantViolation(f"quadrature of {what} failed: {reason}")
+    return value + error
+
+
 def _tail_integral(bound_fn, box: np.ndarray, radius: float) -> float:
     """Bound on cellvol * sum of bound_fn(|k|) over lattice points |k| > radius.
 
     Each exterior site owns a cell of diameter d; shifting the majorant by d/2
     dominates the cell sum by 4 pi * integral of (v + d/2)^2 phi(v) from
-    radius - d.
+    radius - d, taken with quad's error estimate added.
     """
     diag = _cell_diagonal(box)
     lower = radius - diag
     if lower <= 0:
         return math.inf
-    value, _ = integrate.quad(
-        lambda v: (v + 0.5 * diag) ** 2 * float(bound_fn(v)),
-        lower,
-        np.inf,
-        limit=200,
-    )
-    return 4.0 * math.pi * value
+    return 4.0 * math.pi * _upper_quad(
+        lambda v: (v + 0.5 * diag) ** 2 * float(bound_fn(v)), lower,
+        "a lattice tail")
 
 
-def _slab_contributions(box: np.ndarray, radius: float, eval_fn, budget: int,
+def _slab_contributions(box: np.ndarray, radius: float, eval_fn,
                         chunk: int = 262144) -> tuple[np.ndarray, int]:
     """Evaluate eval_fn on every nonzero lattice point with |k| <= radius.
 
     Enumerates integer triples in slabs along s1 so memory stays flat; returns
     the concatenated contribution array and the number of retained points.
+    More than ``_POINT_BUDGET`` points raise ``BudgetError`` first.
     """
     smax = np.floor(radius * box / TWO_PI).astype(int)
     predicted = int(np.prod(2 * smax + 1))
-    if predicted > budget:
+    if predicted > _POINT_BUDGET:
         raise BudgetError(
             f"lattice enumeration needs {predicted} points at radius {radius:g}, "
-            f"budget is {budget}"
+            f"budget is {_POINT_BUDGET}"
         )
     steps = TWO_PI / box
     s2 = np.arange(-smax[1], smax[1] + 1)
@@ -249,8 +257,8 @@ def _three_squares_counts(n_max: int) -> np.ndarray:
     return table[: n_max + 1]
 
 
-def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
-                budget: int = int(2e8)) -> RiemannResult:
+def riemann_sum(summand: LatticeSummand, L,
+                rel_tol: float = 2e-3) -> RiemannResult:
     """Cell-volume-weighted sum of the summand over the nonzero lattice.
 
     The truncation radius doubles until the majorant tail certificate drops
@@ -281,7 +289,6 @@ def riemann_sum(summand: LatticeSummand, L, rel_tol: float = 2e-3,
             contributions, n_points = _slab_contributions(
                 box, radius,
                 lambda K: np.asarray(summand.phi_fn(K), dtype=float),
-                budget,
             )
         value = cellvol * _deterministic_sum(contributions)
         tail = _tail_integral(summand.bound_fn, box, radius)
@@ -371,8 +378,7 @@ def _ewald_real_kernel(r: np.ndarray, eps: float, width: float) -> np.ndarray:
 
 
 def _gaussian_coulomb_split(D: np.ndarray, w: np.ndarray, box: np.ndarray,
-                            eps: float, width: float, rel_tol: float,
-                            budget: int) -> float:
+                            eps: float, width: float, rel_tol: float) -> float:
     """(2 pi / |V|) sum_{k != 0} exp(-eps^2 k^2) / k^2 sum_p w_p cos(k.D_p),
     split at ``width`` >= eps (Ewald, Ann. Phys. 369 (1921) 253).
 
@@ -412,14 +418,14 @@ def _gaussian_coulomb_split(D: np.ndarray, w: np.ndarray, box: np.ndarray,
         return pair_weight * 2.0 * PI_SQ * math.erfc(gap / (2.0 * width)) / gap
 
     def reciprocal_side(radius):
-        terms, _ = _slab_contributions(box, radius, reciprocal_terms, budget)
+        terms, _ = _slab_contributions(box, radius, reciprocal_terms)
         tail = _tail_integral(reciprocal_majorant, box, radius)
         return prefactor * _deterministic_sum(terms), tail / (4.0 * PI_SQ)
 
     def real_side(radius):
         if sigma_sq <= 0.0:
             return 0.0, 0.0
-        terms, _ = _slab_contributions(real_box, radius, real_terms, budget)
+        terms, _ = _slab_contributions(real_box, radius, real_terms)
         origin = _ewald_real_kernel(np.linalg.norm(D, axis=1), eps, width) @ w
         tail = _tail_integral(real_majorant, real_box, radius) / volume
         return (_deterministic_sum(np.append(terms, origin)) / (4.0 * PI_SQ),
@@ -445,26 +451,15 @@ def _gaussian_coulomb_split(D: np.ndarray, w: np.ndarray, box: np.ndarray,
     raise BudgetError("mollified Coulomb tail did not certify within the radius cap")
 
 
-def mollified_coulomb(positions, charges, L, eps: float, chi=None,
-                      chi_bound=None, rel_tol: float = 1e-6,
-                      budget: int = int(2e8)) -> float:
-    """Smoothly cut lattice Coulomb sum (2 pi / |V|) sum chi(eps k) pairs / |k|^2.
+def mollified_coulomb(positions, charges, L, eps: float,
+                      rel_tol: float = 1e-6) -> float:
+    """Gaussian-cut lattice Coulomb sum (2 pi / |V|) sum exp(-eps^2 k^2) pairs / |k|^2.
 
-    The default chi is the Gaussian exp(-|k|^2).  Its sum is split in two
-    (``_gaussian_coulomb_split``) at the width b = max(|V|^(1/3) / (2 sqrt pi),
-    eps): a reciprocal-lattice sum of exp(-b^2 k^2) / k^2 terms, certified by
-    the cell-covering bound on its Gaussian majorant, and a real-lattice sum
-    of erf transforms, certified by the same bound on the real lattice with
-    the majorant 2 pi^2 erfc(r / 2b) / r.  Each side takes a few hundred
-    points, and the two certificates together stay below rel_tol * |value|;
-    at b = eps the real side is empty.
-
-    A custom chi must come with its own non-increasing radial majorant
-    ``chi_bound``; its sum is enumerated directly over the reciprocal lattice
-    in slabs, doubling the radius until the tail certificate of
-    chi_bound(eps r) / r^2 is below rel_tol * |value|.  Either way ``budget``
-    caps the points of one enumeration, raising ``BudgetError`` before they
-    are allocated.
+    The Ewald split ``_gaussian_coulomb_split`` at the width
+    b = max(|V|^(1/3) / (2 sqrt pi), eps) certifies its reciprocal side with
+    the Gaussian majorant exp(-b^2 r^2) / r^2 and its real side with
+    2 pi^2 erfc(r / 2b) / r.  Each side takes a few hundred points; at
+    b = eps the real side is empty.
     """
     x = np.atleast_2d(np.asarray(positions, dtype=float))
     e = np.asarray(charges, dtype=float)
@@ -478,35 +473,38 @@ def mollified_coulomb(positions, charges, L, eps: float, chi=None,
     if n < 2:
         return 0.0
     box = _as_box(L)
-    if chi is not None and chi_bound is None:
-        raise ConfigError("a custom chi needs a radial majorant chi_bound")
 
     pairs_j, pairs_l = np.triu_indices(n, k=1)
     D = x[pairs_j] - x[pairs_l]
     if np.any(np.linalg.norm(D, axis=1) == 0.0):
         raise ConfigError("mollified Coulomb needs distinct particle positions")
     w = 2.0 * e[pairs_j] * e[pairs_l]
-    if chi is None:
-        width = max(float(np.prod(box)) ** (1.0 / 3.0) / (2.0 * math.sqrt(math.pi)),
-                    eps)
-        return _gaussian_coulomb_split(D, w, box, eps, width, rel_tol, budget)
-    pair_weight = float(np.sum(np.abs(w)))
+    width = max(float(np.prod(box)) ** (1.0 / 3.0) / (2.0 * math.sqrt(math.pi)),
+                eps)
+    return _gaussian_coulomb_split(D, w, box, eps, width, rel_tol)
 
-    def eval_fn(K):
-        inv_k2 = 1.0 / np.einsum("ij,ij->i", K, K)
-        angles = K @ D.T
-        return chi(eps * K) * inv_k2 * (np.cos(angles) @ w)
 
-    def majorant(r):
-        return pair_weight * float(chi_bound(eps * r)) / (r * r)
+def _radial_summand(radial, bound_fn, name: str,
+                    analytic_limit: float) -> LatticeSummand:
+    """The summand Phi(k) = radial(|k|), with ``radial_fn`` set."""
+    def on_radii(r):
+        return radial(np.asarray(r, dtype=float))
 
-    radius = 8.0 * TWO_PI / float(np.min(box))
-    prefactor = TWO_PI / float(np.prod(box))
-    for _ in range(24):
-        contributions, _ = _slab_contributions(box, radius, eval_fn, budget)
-        value = prefactor * _deterministic_sum(contributions)
-        tail = _tail_integral(majorant, box, radius) / (4.0 * math.pi ** 2)
-        if tail <= rel_tol * max(abs(value), 1e-12):
-            return value
-        radius *= 2.0
-    raise BudgetError("mollified Coulomb tail did not certify within the radius cap")
+    return LatticeSummand(phi_fn=lambda K: on_radii(np.linalg.norm(K, axis=-1)),
+                          bound_fn=bound_fn, radial_fn=on_radii, name=name,
+                          analytic_limit=analytic_limit)
+
+
+def inverse_quartic_summand() -> LatticeSummand:
+    """1 / (|k|^2 (1 + |k|^2)), with integral 2 pi^2 over R^3."""
+    def radial(r):
+        return 1.0 / (r * r * (1.0 + r * r))
+
+    return _radial_summand(radial, radial, "inverse-quartic", 2.0 * math.pi**2)
+
+
+def screened_inverse_square_summand() -> LatticeSummand:
+    """exp(-|k|^2) / |k|^2, with integral 2 pi^(3/2) over R^3."""
+    return _radial_summand(lambda r: np.exp(-r * r) / (r * r),
+                           lambda r: math.exp(-min(r * r, 700.0)) / (r * r),
+                           "screened-inverse-square", 2.0 * math.pi**1.5)

@@ -50,8 +50,9 @@ class OscillatorBasis:
             )
 
     @classmethod
-    def from_config(cls, config: SimulationConfig, modes: ModeSet) -> "OscillatorBasis":
-        return cls(modes=modes, cap=config.n_max, hbar=config.hbar,
+    def from_config(cls, config: SimulationConfig, modes: ModeSet,
+                    cap: int) -> "OscillatorBasis":
+        return cls(modes=modes, cap=cap, hbar=config.hbar,
                    c_light=config.c_light, volume=config.volume)
 
     @property

@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 _CONFIG_KEYS = {
     "L1", "L2", "L3", "M1", "M2", "M3", "hbar", "c", "n_particles",
-    "masses", "charges", "sigma_psi", "width_g", "n_max",
+    "masses", "charges", "sigma_psi", "width_g",
 }
 
 
@@ -34,10 +34,10 @@ def _whole(value) -> bool:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Box geometry, cutoffs, physical constants, mollifier and truncation knobs.
+    """Box geometry, cutoffs, physical constants and mollifier knobs.
 
     ``L`` are the box edge lengths, ``M`` the three integer mode cutoffs with
-    M2 <= M3.  ``n_max`` caps the occupation number per field variable.
+    M2 <= M3.
     """
 
     L: tuple[float, float, float] = (TWO_PI, TWO_PI, TWO_PI)
@@ -49,7 +49,6 @@ class SimulationConfig:
     charges: tuple[float, ...] = ()
     sigma_psi: float = 50.0
     width_g: float = 1.0e6
-    n_max: int = 4
 
     def __post_init__(self):
         self.validate()
@@ -83,8 +82,6 @@ class SimulationConfig:
         if not (0.0 < self.sigma_psi < math.inf and 0.0 < self.width_g < math.inf):
             raise ConfigError(
                 "mollifier parameters sigma_psi and width_g must be positive and finite")
-        if not _whole(self.n_max) or self.n_max < 0:
-            raise ConfigError("occupation cap n_max must be a non-negative integer")
 
     @classmethod
     def from_file(cls, path) -> "SimulationConfig":
@@ -145,7 +142,6 @@ class SimulationConfig:
                 charges=_seq("charges", defaults.charges),
                 sigma_psi=_float("sigma_psi", defaults.sigma_psi),
                 width_g=_float("width_g", defaults.width_g),
-                n_max=_int("n_max", defaults.n_max),
             )
         except ValueError as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
@@ -159,7 +155,6 @@ class SimulationConfig:
             "masses": ",".join("%.17g" % m for m in self.masses),
             "charges": ",".join("%.17g" % e for e in self.charges),
             "sigma_psi": self.sigma_psi, "width_g": self.width_g,
-            "n_max": self.n_max,
         }
 
 

@@ -1,11 +1,13 @@
 """One-step propagation operators, their composition, and stability studies.
 
 The fundamental step is an oscillatory Gaussian integral over the earlier
-endpoint of a straight path segment.  Two backends realize it: an analytic
-route for decoupled (purely quadratic) systems, where every field variable
-factorizes into a closed-form Hermite-basis matrix, and a galerkin route that
-assembles the coupled one-step matrix by quadrature, with a Filon rule for the
-oscillatory longitudinal integral.  On top of the step sit the
+endpoint of a straight path segment.  Two frozen step types realize it:
+``AnalyticQuadraticStep`` for decoupled (purely quadratic) systems, where
+every field variable factorizes into a closed-form Hermite-basis matrix, and
+``GalerkinStep``, which assembles the coupled one-step matrix by quadrature,
+with a Filon rule for the oscillatory longitudinal integral.  Each carries
+only its own knobs and caches its operators by step size;
+``StepBackend(kind, ...)`` builds either by name.  On top of the step sit the
 endpoint-difference maps (phi), the step-size search for an invertibility
 radius (rho*), the scalar-offset variant (G_eps), and the residual/convergence
 studies used as evidence that composed steps track the generator.
@@ -45,6 +47,8 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "fresnel_gaussian",
     "quadratic_variable_step",
+    "AnalyticQuadraticStep",
+    "GalerkinStep",
     "StepBackend",
     "fundamental_step",
     "compose",
@@ -156,7 +160,7 @@ def quadratic_variable_step(rho: float, omega: float, cap: int, *,
 
 
 # ---------------------------------------------------------------------------
-# Step backends
+# Step types
 # ---------------------------------------------------------------------------
 
 def _plane_wave_energies(waves: np.ndarray, config: SimulationConfig) -> np.ndarray:
@@ -167,12 +171,10 @@ def _plane_wave_energies(waves: np.ndarray, config: SimulationConfig) -> np.ndar
 class _AnalyticStep:
     """Per-variable field matrices plus free plane-wave phases."""
 
-    def __init__(self, mats, particle_phases, field_dim):
+    def __init__(self, mats, particle_phases, dim):
         self.mats = mats
         self.particle_phases = particle_phases
-        self.field_dim = field_dim
-        self.dim = field_dim * (len(particle_phases)
-                                if particle_phases is not None else 1)
+        self.dim = dim
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         shape = tuple(m.shape[0] for m in self.mats)
@@ -195,112 +197,183 @@ class _MatrixStep:
         return self.matrix @ coeffs
 
 
-# Step operators one backend keeps, the oldest evicted first.  A residual
+# Step operators one step keeps, the oldest evicted first.  A residual
 # study asks for three step sizes per rho, 21 at the CLI's default rho list.
 _STEP_CACHE_CAP = 64
 
+# Cap on the galerkin quadrature: the scalar chirp rule's nodes, and the
+# x3 nodes times the zeta nodes of one assembly.
+_GALERKIN_BUDGET = 400_000
 
-@dataclass(eq=False)
-class StepBackend:
-    """How the fundamental step is realized, with its quadrature knobs.
+# Trapezoid nodes of the galerkin step's periodic x3 integral.
+_X3_NODES = 32
 
-    kind is "analytic-quadratic" (closed-form, decoupled systems only) or
-    "galerkin" (quadrature of kernel matrix elements, one charged particle
-    coupled to a single mode along the third axis).  The galerkin step
-    integrates the oscillatory longitudinal displacement with a Filon rule
-    of about 96 nodes at every step size, and the periodic x3 coordinate
-    with ``x3_nodes`` trapezoid nodes; budget caps the quadrature node count
-    of either.  ``step_operator`` keeps the last ``_STEP_CACHE_CAP``
-    operators it built.
+
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """Basis and context of a one-step operator, with its bounded cache.
+
+    The fields are frozen, so ``step_operator`` keys its cache on rho alone
+    and keeps the last ``_STEP_CACHE_CAP`` operators it built.
     """
 
-    kind: str
     basis: OscillatorBasis
     ctx: ModelContext
-    budget: int = 400_000
-    wave_cutoff: int = 3
-    wave_indices: Optional[np.ndarray] = None
-    transverse: tuple = (0, 0)
-    x3_nodes: int = 32
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("analytic-quadratic", "galerkin"):
-            raise ConfigError(f"unknown backend kind {self.kind!r}")
-        config = self.ctx.config
         if [wv.s for wv in self.basis.modes.lam_prime] != \
                 [wv.s for wv in self.ctx.modes3.lam_prime]:
             raise ConfigError("backend basis must live on the context's Lambda'_3")
-        _check_basis_constants(self.basis, config)
-        charges = np.asarray(config.charges, dtype=float)
-        if self.kind == "analytic-quadratic":
-            if np.any(charges != 0.0) and (self.ctx.modes2.N > 0
-                                           or config.n_particles >= 2):
-                raise ConfigError(
-                    "the analytic-quadratic backend needs vanishing coupling: "
-                    "all charges zero, or a single charge with empty Lambda'_2"
-                )
-            if config.n_particles > 0 and self.wave_indices is None:
-                self.wave_indices = _plane_wave_set(1)
-        else:
-            _validate_galerkin_static(self)
-        if self.wave_indices is not None:
-            self.wave_indices = np.asarray(self.wave_indices, dtype=int).reshape(-1, 3)
+        _check_basis_constants(self.basis, self.ctx.config)
 
     def step_operator(self, rho: float):
-        # every knob the operator reads, so a changed knob never hits a
-        # stale entry
-        waves = None if self.wave_indices is None \
-            else np.asarray(self.wave_indices, dtype=int).tobytes()
-        key = (self.kind, self.budget, self.wave_cutoff,
-               tuple(self.transverse), self.x3_nodes, waves, f"{rho:.13e}")
+        key = f"{rho:.13e}"
         op = self._cache.get(key)
         if op is None:
-            if self.kind == "analytic-quadratic":
-                op = _analytic_step_operator(self, rho)
-            else:
-                op = _MatrixStep(_galerkin_matrix(self, rho))
+            op = self._build(rho)
             if len(self._cache) >= _STEP_CACHE_CAP:
                 del self._cache[next(iter(self._cache))]
             self._cache[key] = op
         return op
 
+
+@dataclass(frozen=True, eq=False)
+class AnalyticQuadraticStep(_Step):
+    """Closed-form step of a decoupled (purely quadratic) system.
+
+    Every field variable steps by its ``quadratic_variable_step`` matrix and
+    each particle plane wave of ``wave_indices`` (default the unit wave
+    cube) by its free phase.
+    """
+
+    wave_indices: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        config = self.ctx.config
+        if np.any(np.asarray(config.charges, dtype=float) != 0.0) and \
+                (self.ctx.modes2.N > 0 or config.n_particles >= 2):
+            raise ConfigError(
+                "the analytic-quadratic backend needs vanishing coupling: "
+                "all charges zero, or a single charge with empty Lambda'_2"
+            )
+        waves = self.wave_indices
+        if config.n_particles > 0 and waves is None:
+            waves = _plane_wave_set(1)
+        if waves is not None:
+            waves = np.array(waves, dtype=int).reshape(-1, 3)
+            waves.flags.writeable = False
+            object.__setattr__(self, "wave_indices", waves)
+
     @property
     def state_dim(self) -> int:
+        n = self.ctx.config.n_particles
+        return self.basis.dim * (len(self.wave_indices) ** n if n else 1)
+
+    def _build(self, rho: float) -> _AnalyticStep:
+        basis = self.basis
         config = self.ctx.config
-        if self.kind == "galerkin":
-            return self.basis.dim * (2 * self.wave_cutoff + 1)
-        part = len(self.wave_indices) ** config.n_particles \
-            if config.n_particles else 1
-        return self.basis.dim * part
+        omegas = basis.omegas()
+        _guard_step_size(rho, float(np.max(omegas)) if omegas.size else 0.0)
+        mats = [
+            quadratic_variable_step(rho, float(w), basis.cap,
+                                    hbar=basis.hbar, volume=basis.volume)
+            for w in omegas
+        ]
+        phases = None
+        if config.n_particles:
+            waves = self.wave_indices
+            energy = _plane_wave_energies(waves, config)
+            masses = np.asarray(config.masses, dtype=float)
+            total = np.zeros((len(waves),) * config.n_particles)
+            for j in range(config.n_particles):
+                shape = [1] * config.n_particles
+                shape[j] = len(waves)
+                total = total + (energy / (2.0 * masses[j])).reshape(shape)
+            phases = np.exp(-1j * rho * total.reshape(-1) / config.hbar)
+        return _AnalyticStep(mats, phases, self.state_dim)
 
 
-def _analytic_step_operator(backend: StepBackend, rho: float) -> _AnalyticStep:
-    basis = backend.basis
-    config = backend.ctx.config
-    omegas = basis.omegas()
-    _guard_step_size(rho, float(np.max(omegas)) if omegas.size else 0.0)
-    mats = [
-        quadratic_variable_step(rho, float(w), basis.cap,
-                                hbar=basis.hbar, volume=basis.volume)
-        for w in omegas
-    ]
-    phases = None
-    if config.n_particles:
-        waves = backend.wave_indices
-        energy = _plane_wave_energies(waves, config)
-        masses = np.asarray(config.masses, dtype=float)
-        total = np.zeros((len(waves),) * config.n_particles)
-        for j in range(config.n_particles):
-            shape = [1] * config.n_particles
-            shape[j] = len(waves)
-            total = total + (energy / (2.0 * masses[j])).reshape(shape)
-        phases = np.exp(-1j * rho * total.reshape(-1) / config.hbar)
-    return _AnalyticStep(mats, phases, basis.dim)
+@dataclass(frozen=True, eq=False)
+class GalerkinStep(_Step):
+    """Quadrature step of one charged particle coupled to one mode.
+
+    The coupling mode points along the third axis; the particle lives on the
+    z-line plane waves |m3| <= ``wave_cutoff`` at the fixed ``transverse``
+    wave numbers.  The oscillatory longitudinal displacement integral is a
+    Filon rule of about 96 nodes at every step size, and the periodic x3
+    coordinate a trapezoid rule of ``_X3_NODES`` nodes; ``_GALERKIN_BUDGET``
+    caps the node count of either.
+    """
+
+    wave_cutoff: int = 3
+    transverse: tuple = (0, 0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        ctx = self.ctx
+        config = ctx.config
+        if config.n_particles != 1:
+            raise ConfigError("the galerkin backend handles exactly one particle")
+        if ctx.modes2.N != 1 or ctx.modes3.N != 1:
+            raise ConfigError(
+                "the galerkin backend needs a single coupling mode carried by "
+                "the field state space (Lambda'_2 = Lambda'_3, one member)"
+            )
+        s = ctx.modes2.lam_prime[0].s
+        if s[0] != 0 or s[1] != 0:
+            raise ConfigError(
+                f"the coupling mode must point along the third axis, got s={s}; "
+                "the slab-separable assembly relies on transverse momentum "
+                "conservation"
+            )
+        if self.basis.cap > 6:
+            raise ConfigError("galerkin occupation caps above 6 are not supported")
+        if self.wave_cutoff < 1 or self.wave_cutoff > 6:
+            raise ConfigError("galerkin wave cutoffs outside 1..6 are not supported")
+        if len(self.transverse) != 2:
+            raise ConfigError("transverse wave numbers must be a pair")
+        object.__setattr__(self, "transverse", tuple(self.transverse))
+        _check_flat_g(ctx, "the plane-wave galerkin basis")
+        omega = config.c_light * ctx.modes2.lam_prime[0].norm
+        amax = 8.0 * math.sqrt(config.hbar * config.volume / omega)
+        grid = np.linspace(-amax, amax, 33)
+        dev = float(np.max(np.abs(ctx.mollifiers.psi(grid) - grid)))
+        if dev > 1e-6 * amax:
+            raise ConfigError(
+                "the galerkin kernel assembly needs psi to act linearly over the "
+                f"occupied field range; the bend is {dev:.3e} at scale {amax:.3g} "
+                f"(sigma_psi={config.sigma_psi:g})"
+            )
+
+    @property
+    def state_dim(self) -> int:
+        return self.basis.dim * (2 * self.wave_cutoff + 1)
+
+    def _build(self, rho: float) -> _MatrixStep:
+        return _MatrixStep(_galerkin_matrix(self, rho))
+
+
+_STEP_KINDS = {"analytic-quadratic": AnalyticQuadraticStep,
+               "galerkin": GalerkinStep}
+
+
+def StepBackend(kind: str, basis: OscillatorBasis, ctx: ModelContext,
+                **knobs) -> _Step:
+    """The step of the named kind: "analytic-quadratic" or "galerkin".
+
+    ``knobs`` are that kind's own fields (``wave_indices``, or
+    ``wave_cutoff`` and ``transverse``); a knob of the other kind raises
+    ``TypeError`` and an unknown kind ``ConfigError``.
+    """
+    if kind not in _STEP_KINDS:
+        raise ConfigError(f"unknown backend kind {kind!r}")
+    return _STEP_KINDS[kind](basis, ctx, **knobs)
 
 
 def fundamental_step(f: StateVector, t: float, s: float,
-                     backend: StepBackend) -> StateVector:
+                     backend: _Step) -> StateVector:
     """One application of the step operator C(t, s) to a state.
 
     t = s returns the identity exactly; otherwise the backend's cached
@@ -319,7 +392,7 @@ def fundamental_step(f: StateVector, t: float, s: float,
     return StateVector(op.apply(f.coefficients), f.basis)
 
 
-def compose(f: StateVector, subdivision: Subdivision, backend: StepBackend,
+def compose(f: StateVector, subdivision: Subdivision, backend: _Step,
             collect_norms: bool = False):
     """Left-to-right composition of fundamental steps over a subdivision."""
     out = f
@@ -364,7 +437,7 @@ class ConvergenceStudy:
     growth_rate: Optional[float]   # fit on the finest mesh; None for one step
 
 
-def convergence_study(f: StateVector, backend: StepBackend, horizon: float,
+def convergence_study(f: StateVector, backend: _Step, horizon: float,
                       segment_counts, reference) -> ConvergenceStudy:
     """Compose over uniform meshes and compare against a reference state.
 
@@ -403,7 +476,7 @@ class ResidualStudy:
     slope: Optional[float]   # log-log fit; None below two positive residuals
 
 
-def residual_study(f: StateVector, backend: StepBackend, rho_list,
+def residual_study(f: StateVector, backend: _Step, rho_list,
                    hamiltonian=None, dt_factor: float = 0.125) -> ResidualStudy:
     """Norm of (i hbar D_t - H) C(rho, 0) f with a centered time difference.
 
@@ -752,7 +825,7 @@ def xi_mode_factor(k_norm: float, rho: float, eps: float,
     return a / (a + 1j * eps * eps)
 
 
-def _check_offset_modes(backend: StepBackend) -> None:
+def _check_offset_modes(backend: _Step) -> None:
     if backend.ctx.modes1.N > 2:
         raise ConfigError(
             "the scalar-offset step handles at most two first-cutoff modes; "
@@ -761,7 +834,7 @@ def _check_offset_modes(backend: StepBackend) -> None:
 
 
 def g_epsilon_step(f: StateVector, t: float, s: float, eps: float,
-                   backend: StepBackend) -> StateVector:
+                   backend: _Step) -> StateVector:
     """Fundamental step with the damped scalar-offset integration included.
 
     The offset action decouples from the endpoints, so the extra integral
@@ -780,7 +853,7 @@ def g_epsilon_step(f: StateVector, t: float, s: float, eps: float,
     return StateVector(factor * stepped.coefficients, stepped.basis)
 
 
-def g_epsilon_levels(rho: float, backend: StepBackend,
+def g_epsilon_levels(rho: float, backend: _Step,
                      eps0: Optional[float] = None) -> tuple:
     """The damping levels (eps0, eps0 / sqrt 2, eps0 / 2) of the eps -> 0 step.
 
@@ -799,7 +872,7 @@ def g_epsilon_levels(rho: float, backend: StepBackend,
 
 
 def g_epsilon_extrapolated(f: StateVector, t: float, s: float,
-                           backend: StepBackend,
+                           backend: _Step,
                            eps0: Optional[float] = None) -> StateVector:
     """eps -> 0 limit of g_epsilon_step by Richardson steps in eps^2.
 
@@ -821,42 +894,6 @@ def g_epsilon_extrapolated(f: StateVector, t: float, s: float,
 # ---------------------------------------------------------------------------
 # Galerkin backend internals
 # ---------------------------------------------------------------------------
-
-def _validate_galerkin_static(backend: StepBackend) -> None:
-    config = backend.ctx.config
-    ctx = backend.ctx
-    if config.n_particles != 1:
-        raise ConfigError("the galerkin backend handles exactly one particle")
-    if ctx.modes2.N != 1 or ctx.modes3.N != 1:
-        raise ConfigError(
-            "the galerkin backend needs a single coupling mode carried by "
-            "the field state space (Lambda'_2 = Lambda'_3, one member)"
-        )
-    s = ctx.modes2.lam_prime[0].s
-    if s[0] != 0 or s[1] != 0:
-        raise ConfigError(
-            f"the coupling mode must point along the third axis, got s={s}; "
-            "the slab-separable assembly relies on transverse momentum "
-            "conservation"
-        )
-    if backend.basis.cap > 6:
-        raise ConfigError("galerkin occupation caps above 6 are not supported")
-    if backend.wave_cutoff < 1 or backend.wave_cutoff > 6:
-        raise ConfigError("galerkin wave cutoffs outside 1..6 are not supported")
-    if len(backend.transverse) != 2:
-        raise ConfigError("transverse wave numbers must be a pair")
-    _check_flat_g(ctx, "the plane-wave galerkin basis")
-    omega = config.c_light * ctx.modes2.lam_prime[0].norm
-    amax = 8.0 * math.sqrt(config.hbar * config.volume / omega)
-    grid = np.linspace(-amax, amax, 33)
-    dev = float(np.max(np.abs(ctx.mollifiers.psi(grid) - grid)))
-    if dev > 1e-6 * amax:
-        raise ConfigError(
-            "the galerkin kernel assembly needs psi to act linearly over the "
-            f"occupied field range; the bend is {dev:.3e} at scale {amax:.3g} "
-            f"(sigma_psi={config.sigma_psi:g})"
-        )
-
 
 def _interp_coeffs(kappa: np.ndarray):
     """Endpoint-weighted averages of exp(-i theta kappa) over theta in [0,1].
@@ -1002,7 +1039,7 @@ def _tail_series(order: int) -> np.ndarray:
     return c
 
 
-def _longitudinal_rule(scale: float, beta: np.ndarray, budget: int):
+def _longitudinal_rule(scale: float, beta: np.ndarray):
     """Nodes, weights and exact line integral of the galerkin zeta integral.
 
     Returns ``zeta`` (n,), ``weights`` (W, n) and ``line`` (W,) such that
@@ -1019,8 +1056,8 @@ def _longitudinal_rule(scale: float, beta: np.ndarray, budget: int):
     interpolants also carry the tails beyond the outer edges in closed form
     by integration by parts.  Only the smooth factor sets the node count, so
     it stays near 96 however small the step makes scale.  The scalar rule
-    grows like (1 / scale)^2 and raises ``BudgetError`` past ``budget``
-    nodes.
+    grows like (1 / scale)^2 and raises ``BudgetError`` past
+    ``_GALERKIN_BUDGET`` nodes.
     """
     beta = np.asarray(beta, dtype=float)
     beta_max = float(np.max(np.abs(beta)))
@@ -1033,10 +1070,10 @@ def _longitudinal_rule(scale: float, beta: np.ndarray, budget: int):
     centers = 0.5 * (edges[:-1] + edges[1:])
     slopes = 2.0 * (np.abs(centers) + half) + beta_max
     n_subs = np.maximum(1, np.ceil(2.0 * half * slopes / _CHIRP_STEP)).astype(int)
-    if len(_GL24[0]) * int(n_subs.sum()) > budget:
+    if len(_GL24[0]) * int(n_subs.sum()) > _GALERKIN_BUDGET:
         raise BudgetError(
             f"the galerkin chirp rule wants {len(_GL24[0]) * int(n_subs.sum())} "
-            f"nodes, over the budget of {budget}; raise the budget or the step")
+            f"nodes, over the budget of {_GALERKIN_BUDGET}; take a larger step")
     nodes, node_w = _GL16
     # Lagrange basis of the panel nodes in Legendre coefficients:
     # l_n(x) = sum_k basis[k, n] P_k(x), exact by Gauss-Legendre orthogonality.
@@ -1076,7 +1113,7 @@ def _longitudinal_rule(scale: float, beta: np.ndarray, budget: int):
     return zeta, weights, line
 
 
-def _galerkin_matrix(backend: StepBackend, rho: float) -> np.ndarray:
+def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     """Coupled one-step matrix on (field occupations) x (z-line plane waves).
 
     Transverse endpoint integrals are exact Gaussians, each polarization
@@ -1146,11 +1183,11 @@ def _galerkin_matrix(backend: StepBackend, rho: float) -> np.ndarray:
     s_f = math.sqrt(2.0 * hbar * rho / m_p)
     beta = (TWO_PI / L3) * m3 * s_f
 
-    zeta, weights, line = _longitudinal_rule(k3 * s_f, beta, backend.budget)
-    if backend.x3_nodes * len(zeta) > backend.budget:
+    zeta, weights, line = _longitudinal_rule(k3 * s_f, beta)
+    if _X3_NODES * len(zeta) > _GALERKIN_BUDGET:
         raise BudgetError(
-            f"galerkin quadrature wants {backend.x3_nodes * len(zeta)} nodes, "
-            f"over the budget of {backend.budget}; raise the budget"
+            f"galerkin quadrature wants {_X3_NODES * len(zeta)} nodes, "
+            f"over the budget of {_GALERKIN_BUDGET}"
         )
 
     flat = R**4
@@ -1172,8 +1209,8 @@ def _galerkin_matrix(backend: StepBackend, rho: float) -> np.ndarray:
     # weighted by wave row q and phased by the x3 Fourier factor of (p, q).
     acc = np.zeros((W, W, flat, flat), dtype=complex)
     same_blocks = etas[0] == etas[1]
-    for j in range(backend.x3_nodes):
-        rotation = np.exp(1j * TWO_PI * s3 * j / backend.x3_nodes)
+    for j in range(_X3_NODES):
+        rotation = np.exp(1j * TWO_PI * s3 * j / _X3_NODES)
         partial = -weight_sum[:, None, None] * pair_base
         for c1, c2, weights in chunks:
             ec1 = rotation * c1
@@ -1190,7 +1227,7 @@ def _galerkin_matrix(backend: StepBackend, rho: float) -> np.ndarray:
             partial += (weighted.reshape(W * flat, -1) @ block1).reshape(
                 W, flat, flat)
         x_fac = np.exp(1j * TWO_PI * (m3[None, :] - m3[:, None])
-                       * j / backend.x3_nodes)
+                       * j / _X3_NODES)
         for p in range(W):
             acc[p] += x_fac[p][:, None, None] * partial
 
@@ -1199,7 +1236,7 @@ def _galerkin_matrix(backend: StepBackend, rho: float) -> np.ndarray:
     normal = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)) \
         / math.sqrt(math.pi)
     free = normal * line
-    acc *= normal / backend.x3_nodes
+    acc *= normal / _X3_NODES
     for q in range(W):
         acc[q, q] += free[q] * pair_base
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy import fft
+from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 from scipy.special import erf, erfc, erfcx
@@ -256,8 +257,7 @@ def extrapolate_inverse_square(values, eps_values):
     return complex(1.0 / np.sqrt(intercept))
 
 
-def trapezoid_longitudinal_rule(scale, beta, budget, *, kappa_max=12.0,
-                                eps=4.0e-3):
+def trapezoid_longitudinal_rule(scale, beta, *, kappa_max=12.0, eps=4.0e-3):
     """The damped trapezoid route to the galerkin zeta integral.
 
     Same contract as ``propagator._longitudinal_rule``: nodes (n,), weights
@@ -266,8 +266,7 @@ def trapezoid_longitudinal_rule(scale, beta, budget, *, kappa_max=12.0,
     exp(i zeta^2) at the edge and the smooth factor; the integrand is damped
     by exp(-e zeta^2) at e = eps, eps / 2, eps / 4 and the Richardson
     combination (t0 - 6 t1 + 8 t2) / 3 is folded into the weights and into
-    the damped closed form of the line integral.  ``budget`` is unused: the
-    assembly checks the node count itself.
+    the damped closed form of the line integral.
     """
     z_lim = max(10.0, kappa_max / scale)
     dz = min(math.pi / (2.5 * z_lim), 0.2 / scale)
@@ -295,13 +294,14 @@ def longitudinal_data(backend, rho):
     return wv.norm * s_f, (TWO_PI / config.L[2]) * m3 * s_f
 
 
-def einsum_galerkin_matrix(backend, rho, rule):
+def einsum_galerkin_matrix(backend, rho, rule, x3_nodes=32):
     """Coupled one-step matrix on (field occupations) x (z-line plane waves).
 
     The per-node outer-product assembly the batched galerkin chunk loop
     replaced: every node forms the full (a,b,e,f) x (c,d,g,h) pair tensor
     with einsum.  ``rule`` is the (zeta, weights, line) triple of the
-    longitudinal integral, as ``propagator._longitudinal_rule`` returns it.
+    longitudinal integral, as ``propagator._longitudinal_rule`` returns it,
+    and ``x3_nodes`` the trapezoid nodes of the periodic x3 integral.
 
     Transverse endpoint integrals are exact Gaussians, each polarization
     block is an exact four-variable generating-function Gaussian per node,
@@ -376,11 +376,11 @@ def einsum_galerkin_matrix(backend, rho, rule):
     acc = np.zeros((W, W, flat * flat), dtype=complex)
     chunk = 512
     same_blocks = etas[0] == etas[1]
-    for j in range(backend.x3_nodes):
-        xi = TWO_PI * s3 * j / backend.x3_nodes
+    for j in range(x3_nodes):
+        xi = TWO_PI * s3 * j / x3_nodes
         rotation = np.exp(1j * xi)
         x_fac = np.exp(1j * TWO_PI * (m3[None, :] - m3[:, None])
-                       * j / backend.x3_nodes)
+                       * j / x3_nodes)
         for start in range(0, len(zeta), chunk):
             zc = zeta[start:start + chunk]
             kappa = k3 * s_f * zc
@@ -401,7 +401,7 @@ def einsum_galerkin_matrix(backend, rho, rule):
             acc += np.einsum("ab,bF->abF", x_fac, partial)
 
     normal = np.exp(-0.25j * math.pi) / math.sqrt(math.pi)
-    total = normal / backend.x3_nodes * acc
+    total = normal / x3_nodes * acc
     for b in range(W):
         total[b, b] += normal * line[b] * pair_base.reshape(-1)
 
@@ -524,3 +524,49 @@ def ewald_lattice_sum(name, L, width=1.0):
         raise ValueError(f"no closed-form transform for summand {name!r}")
     return (cellvol * math.fsum(direct) + math.fsum(poisson) + origin
             - cellvol * w2)
+
+
+def enumerated_mollified_coulomb(positions, charges, L, eps, chi, chi_bound,
+                                 rel_tol=1e-6):
+    """(2 pi / |V|) sum over k != 0 of chi(eps k) sum_pairs 2 e_j e_l
+    cos(k.d) / |k|^2, by enumerating the reciprocal lattice.
+
+    Takes no route through the Ewald split or the package's enumerator: the
+    lattice is walked one s1 plane at a time inside a radius that starts at
+    8 * 2 pi / min(L) and doubles until the cell-covering bound on the tail,
+    from the non-increasing radial majorant chi_bound(eps r) / r^2, is below
+    rel_tol * |value|.  The terms are summed in sorted order.
+    """
+    x = np.asarray(positions, dtype=float)
+    e = np.asarray(charges, dtype=float)
+    box = np.broadcast_to(np.asarray(L, dtype=float), (3,))
+    j, l = np.triu_indices(len(e), k=1)
+    D, w = x[j] - x[l], 2.0 * e[j] * e[l]
+    steps = 2.0 * math.pi / box
+    diag = float(np.linalg.norm(steps))
+    pair_weight = float(np.sum(np.abs(w)))
+    radius = 8.0 * float(np.max(steps))
+    for _ in range(24):
+        tops = np.floor(radius / steps).astype(int)
+        k2, k3 = np.meshgrid(steps[1] * np.arange(-tops[1], tops[1] + 1),
+                             steps[2] * np.arange(-tops[2], tops[2] + 1),
+                             indexing="ij")
+        terms = []
+        for s1 in range(-tops[0], tops[0] + 1):
+            K = np.stack([np.full(k2.size, steps[0] * s1), k2.ravel(),
+                          k3.ravel()], axis=1)
+            k_sq = np.sum(K * K, axis=1)
+            keep = (k_sq > 0.0) & (k_sq <= radius * radius)
+            K, k_sq = K[keep], k_sq[keep]
+            terms.append(chi(eps * K) / k_sq * (np.cos(K @ D.T) @ w))
+        value = 2.0 * math.pi / float(np.prod(box)) \
+            * float(np.sum(np.sort(np.concatenate(terms))))
+        # 4 pi (v + d/2)^2 covers each exterior site's cell; the sum's
+        # prefactor 2 pi / |V| is the cell volume over 4 pi^2
+        cover, _ = quad(lambda v: (v + 0.5 * diag) ** 2 * pair_weight
+                        * float(chi_bound(eps * v)) / (v * v),
+                        radius - diag, np.inf, limit=200)
+        if cover / math.pi <= rel_tol * max(abs(value), 1e-12):
+            return value
+        radius *= 2.0
+    raise BudgetError("enumerated Coulomb tail did not certify")

@@ -20,10 +20,11 @@ from boxqed.action import (
 )
 from boxqed.cli import main as cli_main
 from boxqed.coulomb import (
-    LatticeSummand,
+    inverse_quartic_summand,
     mollified_coulomb,
     richardson_limit,
     riemann_sum,
+    screened_inverse_square_summand,
 )
 from boxqed.field import ModelContext
 from boxqed.fock import (
@@ -112,38 +113,12 @@ def oscillator_matrix_by_quadrature(basis, width=12.0, nodes=6001):
     return lam * (psi @ h_psi.T) * (a[1] - a[0])
 
 
-def inverse_quartic_summand():
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 / (r * r * (1.0 + r * r))
-
-    return LatticeSummand(
-        phi_fn=lambda K: radial(np.linalg.norm(K, axis=-1)),
-        bound_fn=lambda r: float(radial(r)),
-        radial_fn=radial,
-        name="inverse-quartic",
-        analytic_limit=2.0 * math.pi ** 2,
-    )
-
-
-def screened_inverse_square_summand():
-    def phi(K):
-        n2 = np.einsum("...i,...i->...", K, K)
-        return np.exp(-n2) / n2
-
-    return LatticeSummand(
-        phi_fn=phi,
-        bound_fn=lambda r: math.exp(-min(r * r, 700.0)) / (r * r),
-        name="screened-inverse-square",
-    )
-
-
 def test_criterion_01_ladder_and_number_algebra():
     """Ladder commutators, vacuum annihilation, two-sided number-operator
     factorization with an independent quadrature cross-check, exact photon
     eigenvalues, and orthonormality of the multi-photon family."""
-    config = SimulationConfig(L=BOX, M=(1, 1, 1), n_max=4)
-    basis = OscillatorBasis.from_config(config, ONE_MODE)
+    config = SimulationConfig(L=BOX, M=(1, 1, 1))
+    basis = OscillatorBasis.from_config(config, ONE_MODE, 4)
     cap = basis.cap
     assert cap >= 4 and basis.dim == (cap + 1) ** 4
 

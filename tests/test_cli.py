@@ -70,10 +70,11 @@ class TestDeterminism:
     def test_rerun_accepts_older_manifest_fields(self, tmp_path):
         out = tmp_path / "run"
         assert run(["fock-spectrum", "--out", str(out)]) == 0
-        # earlier manifests carried a thread count and two unread config keys
+        # earlier manifests carried a thread count and three unread config
+        # keys
         older = read_manifest(out)
         older["jobs"] = 2
-        older["config"].update(particle_cap=3, epsilon_reg=0.1)
+        older["config"].update(particle_cap=3, epsilon_reg=0.1, n_max=4)
         path = tmp_path / "older.json"
         path.write_text(json.dumps(older))
         assert run(["rerun", "--manifest", str(path),
@@ -125,7 +126,7 @@ class TestExitCodes:
         assert code == 2
         assert "field-only" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["particle_cap", "epsilon_reg"])
+    @pytest.mark.parametrize("key", ["particle_cap", "epsilon_reg", "n_max"])
     def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = 1\n")

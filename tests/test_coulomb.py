@@ -18,15 +18,18 @@ from boxqed import SimulationConfig, build_mode_set, coulomb
 from boxqed.coulomb import (
     LatticeSummand,
     continuum_coulomb_oracle,
+    inverse_quartic_summand,
     mollified_coulomb,
     potential_V1,
     richardson_limit,
     riemann_sum,
+    screened_inverse_square_summand,
     v1_gradient,
 )
 from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 
 from oracles import (
+    enumerated_mollified_coulomb,
     ewald_lattice_sum,
     fftconvolve_three_squares_counts,
     screened_coulomb_total,
@@ -41,20 +44,6 @@ FROZEN_V1 = 22.0 / (3.0 * math.pi ** 2)
 def unit_ctx():
     config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1))
     return config, build_mode_set(config, 1)
-
-
-def inverse_quartic_summand():
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 / (r * r * (1.0 + r * r))
-
-    return LatticeSummand(
-        phi_fn=lambda K: radial(np.linalg.norm(K, axis=-1)),
-        bound_fn=lambda r: float(radial(r)),
-        radial_fn=radial,
-        name="inverse-quartic",
-        analytic_limit=2.0 * math.pi ** 2,
-    )
 
 
 def gaussian_summand():
@@ -80,18 +69,6 @@ def bump_summand():
         bound_fn=lambda r: float(radial(r)),
         radial_fn=radial,
         name="bump",
-    )
-
-
-def screened_inverse_square():
-    def phi(K):
-        n2 = np.einsum("...i,...i->...", K, K)
-        return np.exp(-n2) / n2
-
-    return LatticeSummand(
-        phi_fn=phi,
-        bound_fn=lambda r: math.exp(-min(r * r, 700.0)) / (r * r),
-        name="screened-inverse-square",
     )
 
 
@@ -177,6 +154,30 @@ class TestLatticeSummand:
         with pytest.raises(InvariantViolation):
             bad.validate()
 
+    def test_divergent_majorant_rejected(self):
+        # r^2 / max(r^2, 1) is not integrable; quad returns -1.0 for it and
+        # says the integral is probably divergent
+        bad = LatticeSummand(
+            phi_fn=lambda K: np.zeros(np.asarray(K).shape[:-1]),
+            bound_fn=lambda r: 1.0 / max(r * r, 1.0),
+            name="flat-bound",
+        )
+        with pytest.raises(InvariantViolation, match="flat-bound"):
+            bad.validate()
+        with pytest.raises(InvariantViolation, match="tail"):
+            coulomb._tail_integral(bad.bound_fn, np.full(3, 10.0), 5.0)
+
+    def test_tail_bound_carries_the_quadrature_error(self):
+        box = np.full(3, 15.0)
+        diag = coulomb._cell_diagonal(box)
+        summand = inverse_quartic_summand()
+        value, error = integrate.quad(
+            lambda v: (v + 0.5 * diag) ** 2 * summand.bound_fn(v),
+            10.0 - diag, np.inf, limit=200)
+        assert error > 0.0
+        assert coulomb._tail_integral(summand.bound_fn, box, 10.0) \
+            == 4.0 * math.pi * (value + error)
+
     def test_increasing_bound_rejected(self):
         bad = LatticeSummand(
             phi_fn=lambda K: np.zeros(np.asarray(K).shape[:-1]),
@@ -222,23 +223,24 @@ class TestRiemannSum:
         summand = gaussian_summand()
         plain = riemann_sum(dataclasses.replace(summand, radial_fn=None), 12.0)
         contributions, _ = coulomb._slab_contributions(
-            np.full(3, 12.0), plain.radius, summand.phi_fn, int(2e8))
+            np.full(3, 12.0), plain.radius, summand.phi_fn)
         shuffled = np.random.default_rng(12345).permutation(contributions)
         assert coulomb._deterministic_sum(shuffled) \
             == coulomb._deterministic_sum(contributions)
         assert TWO_PI ** 3 / 12.0 ** 3 * coulomb._deterministic_sum(contributions) \
             == plain.value
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(coulomb, "_POINT_BUDGET", 1000)
         with pytest.raises(BudgetError):
             riemann_sum(dataclasses.replace(inverse_quartic_summand(), radial_fn=None),
-                        60.0, budget=1000)
+                        60.0)
 
     def test_anisotropic_excess_persists(self):
         # Boxes L = (l^2, l, l) violate the smallness condition
         # L1/(L2 L3) -> 0; the lattice sum then overshoots the integral by at
         # least the single-site term at k = (2 pi / L1, 0, 0), uniformly in l.
-        summand = screened_inverse_square()
+        summand = screened_inverse_square_summand()
         integral = 2.0 * math.pi ** 1.5
         excesses = []
         for ell in (4, 8, 16):
@@ -368,7 +370,7 @@ class TestEwaldOracle:
         "gaussian": (gaussian_summand, (15.0, 30.0, 60.0)),
         "inverse-quartic": (inverse_quartic_summand, (15.0, 30.0, 60.0)),
         "screened-inverse-square": (
-            screened_inverse_square,
+            screened_inverse_square_summand,
             tuple((float(l * l), float(l), float(l)) for l in (4, 8, 16)),
         ),
     }
@@ -460,9 +462,6 @@ class TestMollifiedCoulomb:
         with pytest.raises(ConfigError):
             mollified_coulomb(coincident, (1.0, 1.0), 20.0, eps=0.5)
         with pytest.raises(ConfigError):
-            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=0.5,
-                              chi=lambda K: np.ones(np.asarray(K).shape[:-1]))
-        with pytest.raises(ConfigError):
             mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=-1.0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
@@ -486,21 +485,17 @@ class TestMollifiedCoulomb:
         with pytest.raises(ConfigError, match="finite"):
             mollified_coulomb(self.unit_pair(), (1.0, math.inf), 20.0, eps=0.5)
 
-    def test_budget_raises_before_enumerating(self):
+    def test_budget_raises_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(coulomb, "_POINT_BUDGET", 100)
         with pytest.raises(BudgetError, match="budget is 100"):
-            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=0.5,
-                              budget=100)
-        with pytest.raises(BudgetError, match="budget is 100"):
-            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=0.5,
-                              chi=gaussian_summand().phi_fn,
-                              chi_bound=gaussian_summand().bound_fn, budget=100)
+            mollified_coulomb(self.unit_pair(), (1.0, 1.0), 20.0, eps=0.5)
 
 
 def _gaussian_slab(positions, charges, L, eps):
-    """The default Gaussian passed as a custom chi: the enumerated route."""
+    """The Gaussian-cut sum by the enumerated oracle."""
     summand = gaussian_summand()
-    return mollified_coulomb(positions, charges, L, eps, chi=summand.phi_fn,
-                             chi_bound=summand.bound_fn)
+    return enumerated_mollified_coulomb(positions, charges, L, eps,
+                                        summand.phi_fn, summand.bound_fn)
 
 
 def _pairs(positions, charges):
@@ -526,7 +521,8 @@ def charge_clouds(draw):
 
 
 class TestGaussianSplit:
-    """The default-chi sum by the Ewald split, against the slab route."""
+    """The Gaussian-cut sum by the Ewald split, against the enumerated
+    oracle (the slab route)."""
 
     @staticmethod
     def scale(value, charges):
@@ -569,8 +565,7 @@ class TestGaussianSplit:
         D, w = _pairs(positions, charges)
         width = max(float(np.prod(box)) ** (1.0 / 3.0) / (2.0 * math.sqrt(math.pi)),
                     eps)
-        values = [coulomb._gaussian_coulomb_split(D, w, box, eps, b, 1e-6,
-                                                  int(2e8))
+        values = [coulomb._gaussian_coulomb_split(D, w, box, eps, b, 1e-6)
                   for b in (width, stretch * width)]
         assert abs(values[1] - values[0]) <= 1e-12 * self.scale(values[0],
                                                                  charges)

@@ -42,7 +42,7 @@ K_NEG = (0, 0, -1)
 
 
 def base_config(**overrides):
-    defaults = dict(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), n_max=2)
+    defaults = dict(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1))
     defaults.update(overrides)
     return SimulationConfig(**defaults)
 
@@ -50,7 +50,8 @@ def base_config(**overrides):
 @pytest.fixture
 def basis():
     config = base_config()
-    return OscillatorBasis.from_config(config, ModeSet.from_s_triples([K_REP], config.L))
+    return OscillatorBasis.from_config(
+        config, ModeSet.from_s_triples([K_REP], config.L), 2)
 
 
 def sup_abs(matrix):
@@ -184,10 +185,10 @@ class TestBasis:
             basis.index_of((3, 0, 0, 0))
 
     def test_oversized_basis_is_rejected(self):
-        config = base_config(n_max=4)
+        config = base_config()
         from boxqed.lattice import build_mode_set
         with pytest.raises(BudgetError):
-            OscillatorBasis.from_config(config, build_mode_set(config, 3))
+            OscillatorBasis.from_config(config, build_mode_set(config, 3), 4)
 
     def test_lambda_matches_mode_frequency(self, basis):
         lams = basis.lambdas()
@@ -385,7 +386,7 @@ class TestOperatorMatrix:
 # ----------------------------------------------------------------------------
 
 def coupled_config(**overrides):
-    defaults = dict(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), n_max=2,
+    defaults = dict(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1),
                     n_particles=1, masses=(1.0,), charges=(0.8,))
     defaults.update(overrides)
     return SimulationConfig(**defaults)
@@ -398,10 +399,9 @@ class TestAssembly:
         assert sup_abs(H.matrix - h_rad(basis).matrix) == 0.0
 
     def test_neutral_particles_give_tensor_sum(self):
-        config = base_config(n_particles=2, masses=(1.0, 2.0), charges=(0.0, 0.0),
-                             n_max=1)
+        config = base_config(n_particles=2, masses=(1.0, 2.0), charges=(0.0, 0.0))
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 1)
         H = assemble_hamiltonian(config, basis)
         diag = np.real(H.matrix.diagonal())
         assert H.matrix.nnz == np.count_nonzero(diag)  # purely diagonal
@@ -420,7 +420,7 @@ class TestAssembly:
     def test_coupled_assembly_is_hermitian(self):
         config = coupled_config()
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 2)
         H = assemble_hamiltonian(config, basis)
         assert H.hermitian
         rng = np.random.default_rng(5)
@@ -433,23 +433,23 @@ class TestAssembly:
     def test_two_charged_particles_are_rejected(self):
         config = base_config(n_particles=2, masses=(1.0, 1.0), charges=(1.0, -1.0))
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 2)
         with pytest.raises(ConfigError):
             assemble_hamiltonian(config, basis)
 
     def test_narrow_envelope_blocks_spectral_rep_only(self):
-        config = coupled_config(width_g=1.0, n_max=1)
+        config = coupled_config(width_g=1.0)
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 1)
         with pytest.raises(ConfigError):
             assemble_hamiltonian(config, basis, particle_rep="planewave")
         H = assemble_hamiltonian(config, basis, particle_rep="grid", grid_points=4)
         assert H.hermitian
 
     def test_grid_kinetic_spectrum_is_spectral(self):
-        config = base_config(n_particles=1, masses=(1.5,), charges=(0.0,), n_max=1)
+        config = base_config(n_particles=1, masses=(1.5,), charges=(0.0,))
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 1)
         H = assemble_hamiltonian(config, basis, particle_rep="grid", grid_points=4)
         vals = np.linalg.eigvalsh(H.matrix.toarray())
         freqs = np.fft.fftfreq(4, d=1.0 / 4)
@@ -460,9 +460,9 @@ class TestAssembly:
         assert np.max(np.abs(vals - expected)) <= 1e-9
 
     def test_transverse_momentum_commutes_exactly(self):
-        config = coupled_config(n_max=3)
+        config = coupled_config()
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 3)
         H = assemble_hamiltonian(config, basis)
         waves = np.array([(a, b, c) for a in range(-1, 2) for b in range(-1, 2)
                           for c in range(-1, 2)])
@@ -474,9 +474,9 @@ class TestAssembly:
         # With an effectively linear amplitude mollifier the coupling only
         # transfers z-momentum between field and particle, so the commutator
         # vanishes on states whose image stays inside the truncation.
-        config = coupled_config(n_max=3, sigma_psi=1e8)
+        config = coupled_config(sigma_psi=1e8)
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 3)
         H = assemble_hamiltonian(config, basis)
         waves = np.array([(a, b, c) for a in range(-1, 2) for b in range(-1, 2)
                           for c in range(-1, 2)])
@@ -498,7 +498,7 @@ class TestAssembly:
     def test_dimension_guard_runs_before_any_kron(self, monkeypatch, rep, part_dim):
         config = coupled_config()
         basis = OscillatorBasis.from_config(
-            config, ModeSet.from_s_triples([K_REP], config.L))
+            config, ModeSet.from_s_triples([K_REP], config.L), 2)
         calls = []
         kron, psi_matrix = sparse.kron, fock._psi_variable_matrix
 
@@ -533,9 +533,9 @@ class TestReferenceEvolve:
         assert abs(overlap - np.exp(-1j * 2.0 * t)) <= 1e-10
 
     def test_coupled_evolution_is_unitary(self):
-        config = coupled_config(n_max=1)
+        config = coupled_config()
         modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes)
+        basis = OscillatorBasis.from_config(config, modes, 1)
         H = assemble_hamiltonian(config, basis)
         rng = np.random.default_rng(2)
         vec = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)

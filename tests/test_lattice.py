@@ -37,7 +37,7 @@ class TestSimulationConfig:
             SimulationConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, 1.5])
-    @pytest.mark.parametrize("key", ["M", "n_max", "n_particles"])
+    @pytest.mark.parametrize("key", ["M", "n_particles"])
     def test_integer_fields_reject_non_integers(self, key, value):
         fields = {"M": (value, 1, 1)}
         with pytest.raises(ConfigError, match="integer"):

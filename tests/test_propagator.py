@@ -1,5 +1,6 @@
 """Step operators, composed propagation, phi maps, and the offset-damped step."""
 
+import dataclasses
 import functools
 import math
 
@@ -21,6 +22,8 @@ from boxqed.fock import (
     vacuum,
 )
 from boxqed.propagator import (
+    AnalyticQuadraticStep,
+    GalerkinStep,
     StepBackend,
     compose,
     convergence_study,
@@ -229,6 +232,33 @@ class TestStepBackend:
         assert field_only_backend(cap=3).state_dim == 4**4
         _, ctx, basis = galerkin_parts(0.5)
         assert StepBackend("galerkin", basis, ctx).state_dim == basis.dim * 7
+
+    def test_kinds_build_their_own_types(self):
+        assert isinstance(field_only_backend(), AnalyticQuadraticStep)
+        _, ctx, basis = galerkin_parts(0.5)
+        assert isinstance(StepBackend("galerkin", basis, ctx), GalerkinStep)
+
+    def test_knob_of_the_other_kind_is_rejected(self):
+        backend = field_only_backend()
+        for knob in ({"wave_cutoff": 3}, {"transverse": (5, 5)},
+                     {"x3_nodes": 8}, {"budget": 1}):
+            with pytest.raises(TypeError):
+                StepBackend("analytic-quadratic", backend.basis, backend.ctx,
+                            **knob)
+        _, ctx, basis = galerkin_parts(0.5)
+        with pytest.raises(TypeError):
+            StepBackend("galerkin", basis, ctx, wave_indices=ZLINE_WAVES)
+
+    def test_fields_are_frozen(self):
+        analytic = field_only_backend()
+        _, ctx, basis = galerkin_parts(0.5)
+        galerkin = StepBackend("galerkin", basis, ctx)
+        for step, name, value in ((analytic, "wave_indices", ZLINE_WAVES),
+                                  (analytic, "basis", basis),
+                                  (galerkin, "transverse", (1, 0)),
+                                  (galerkin, "wave_cutoff", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(step, name, value)
 
 
 class TestFundamentalStep:
@@ -777,35 +807,34 @@ class TestGalerkinBackend:
         (0.0, 2, (0, 0), 0.5, 32),
     ])
     def test_matches_einsum_assembly(self, charge, cap, transverse, rho,
-                                     x3_nodes):
+                                     x3_nodes, monkeypatch):
         _, ctx, basis = galerkin_parts(charge, cap=cap)
-        backend = StepBackend("galerkin", basis, ctx, transverse=transverse,
-                              x3_nodes=x3_nodes)
+        backend = StepBackend("galerkin", basis, ctx, transverse=transverse)
+        monkeypatch.setattr(propagator, "_X3_NODES", x3_nodes)
         matrix = _galerkin_matrix(backend, rho)
-        rule = _longitudinal_rule(*longitudinal_data(backend, rho),
-                                  backend.budget)
-        expected = einsum_galerkin_matrix(backend, rho, rule)
+        rule = _longitudinal_rule(*longitudinal_data(backend, rho))
+        expected = einsum_galerkin_matrix(backend, rho, rule, x3_nodes)
         assert matrix.shape == expected.shape
         scale = np.abs(expected).max()
         assert np.abs(matrix - expected).max() <= 1e-12 * scale
 
     def test_step_cache_follows_knobs(self):
+        """Two steps on one basis and context, apart only in their knobs,
+        each cache the operator of their own knobs."""
         _, ctx, basis = galerkin_parts(0.9)
-        backend = StepBackend("galerkin", basis, ctx)
-        stale = backend.step_operator(0.5).matrix
-        backend.transverse = (1, 0)
-        fresh = StepBackend("galerkin", basis, ctx, transverse=(1, 0))
-        expected = fresh.step_operator(0.5).matrix
-        matrix = backend.step_operator(0.5).matrix
-        scale = np.abs(expected).max()
-        assert np.abs(stale - expected).max() > 1e-6 * scale
-        assert np.abs(matrix - expected).max() <= 1e-14 * scale
+        straight = StepBackend("galerkin", basis, ctx)
+        tilted = StepBackend("galerkin", basis, ctx, transverse=(1, 0))
+        first = straight.step_operator(0.5).matrix
+        second = tilted.step_operator(0.5).matrix
+        scale = np.abs(second).max()
+        assert np.abs(first - second).max() > 1e-6 * scale
+        assert np.array_equal(straight.step_operator(0.5).matrix,
+                              _galerkin_matrix(straight, 0.5))
+        assert np.array_equal(tilted.step_operator(0.5).matrix,
+                              _galerkin_matrix(tilted, 0.5))
 
-    def test_budget_guards(self):
+    def test_budget_guards(self, monkeypatch):
         config, ctx, basis = galerkin_parts(0.9)
-        strict = StepBackend("galerkin", basis, ctx, budget=100)
-        with pytest.raises(BudgetError):
-            strict.step_operator(0.5)
         # the chirp rule's scalar nodes grow like 1 / rho
         with pytest.raises(BudgetError, match="chirp"):
             StepBackend("galerkin", basis, ctx).step_operator(1e-4)
@@ -813,6 +842,9 @@ class TestGalerkinBackend:
         heavy = StepBackend("galerkin", wide, ctx)
         with pytest.raises(BudgetError, match="accumulator"):
             heavy.step_operator(0.5)
+        monkeypatch.setattr(propagator, "_GALERKIN_BUDGET", 100)
+        with pytest.raises(BudgetError):
+            StepBackend("galerkin", basis, ctx).step_operator(0.5)
 
 
 # The four step sizes of criterion 6's meshes 1, 2, 4 and 8.
@@ -852,7 +884,7 @@ class TestFilonRule:
         _, ctx, basis = galerkin_parts(0.9)
         backend = StepBackend("galerkin", basis, ctx)
         scale, beta = longitudinal_data(backend, rho)
-        zeta, weights, line = _longitudinal_rule(scale, beta, backend.budget)
+        zeta, weights, line = _longitudinal_rule(scale, beta)
         closed = math.sqrt(math.pi) * np.exp(0.25j * math.pi) \
             * np.exp(-0.25j * beta**2)
         assert len(zeta) == 96
@@ -864,7 +896,7 @@ class TestFilonRule:
         _, ctx, basis = galerkin_parts(0.9)
         backend = StepBackend("galerkin", basis, ctx)
         scale, beta = longitudinal_data(backend, rho)
-        zeta, weights, _ = _longitudinal_rule(scale, beta, backend.budget)
+        zeta, weights, _ = _longitudinal_rule(scale, beta)
         panels = len(zeta) // 16
         for panel in range(1, panels - 1):
             lo, hi = _panel_edges(zeta, panel)
@@ -910,10 +942,10 @@ class TestFilonRule:
     def test_trapezoid_route_assembles_like_the_einsum_oracle(
             self, monkeypatch):
         _, ctx, basis = galerkin_parts(0.9)
-        backend = StepBackend("galerkin", basis, ctx, x3_nodes=4)
-        rule = trapezoid_longitudinal_rule(*longitudinal_data(backend, 0.5),
-                                           backend.budget)
-        expected = einsum_galerkin_matrix(backend, 0.5, rule)
+        backend = StepBackend("galerkin", basis, ctx)
+        rule = trapezoid_longitudinal_rule(*longitudinal_data(backend, 0.5))
+        expected = einsum_galerkin_matrix(backend, 0.5, rule, x3_nodes=4)
+        monkeypatch.setattr(propagator, "_X3_NODES", 4)
         monkeypatch.setattr(propagator, "_longitudinal_rule",
                             trapezoid_longitudinal_rule)
         matrix = _galerkin_matrix(backend, 0.5)
