@@ -83,7 +83,6 @@ class RiemannResult:
     tail_bound: float
     n_points: int
     radius: float
-    converged: bool = True
 
 
 def _as_box(L) -> np.ndarray:

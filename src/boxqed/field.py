@@ -28,9 +28,10 @@ from .lattice import (
 class FieldVector:
     """The 4N independent field coordinates, flat with a documented index map.
 
-    Flat offset of variable (l, k, i) is 4*k_index + 2*(l-1) + (i-1), where
-    k_index enumerates Lambda' in its stored (sorted) order.  ``grid`` exposes
-    the same storage reshaped to (N, 2, 2) with axes (k, l-1, i-1).
+    Flat offset of variable (l, k, i) is 4*k_index + 2*(l-1) + (i-1)
+    (``ModeSet.variable_offset``), where k_index enumerates Lambda' in its
+    stored (sorted) order.  ``grid`` exposes the same storage reshaped to
+    (N, 2, 2) with axes (k, l-1, i-1).
 
     ``values`` may carry leading batch axes, shape (..., 4N), so the kernels
     can evaluate many field points in one call; ``grid`` is then
@@ -63,9 +64,7 @@ class FieldVector:
         return self.values.reshape(self.values.shape[:-1] + (self.modes.N, 2, 2))
 
     def offset(self, l: int, s: tuple, i: int) -> int:
-        if l not in (1, 2) or i not in (1, 2):
-            raise ConfigError(f"polarization l and component i must be 1 or 2, got l={l}, i={i}")
-        return 4 * self.modes.prime_index(tuple(s)) + 2 * (l - 1) + (i - 1)
+        return self.modes.variable_offset(l, s, i)
 
     def entry(self, l: int, s: tuple, i: int) -> float:
         return float(self.values[self.offset(l, s, i)])
@@ -222,8 +221,9 @@ def _mode_arrays(modes: ModeSet, frame: PolarizationFrame, field_modes: ModeSet)
     layout of a field vector on ``field_modes``.
     """
     E = np.array([frame.e(wv) for wv in modes.lam_prime]).reshape(-1, 2, 3)
-    idx = np.array([field_modes.prime_index(wv.s) for wv in modes.lam_prime], dtype=np.intp)
-    cols = 4 * idx[:, None, None] + 2 * np.arange(2)[None, :, None] + np.arange(2)[None, None, :]
+    cols = np.array([[[field_modes.variable_offset(l, wv.s, i) for i in (1, 2)]
+                      for l in (1, 2)] for wv in modes.lam_prime],
+                    dtype=np.intp).reshape(-1, 2, 2)
     return modes.k, E, cols
 
 

@@ -29,9 +29,9 @@ _MAX_DIM = 600_000
 class OscillatorBasis:
     """Product Hermite basis over the 4N field variables with a uniform cap.
 
-    Variable v = 4*k_index + 2*(l-1) + (i-1) matches the flat field layout.
-    Enumeration is mixed-radix with variable 0 slowest, so index 0 is the
-    vacuum.
+    Variable v is ``ModeSet.variable_offset`` of (l, k, i), the flat field
+    layout.  Enumeration is mixed-radix with variable 0 slowest, so index 0
+    is the vacuum.
     """
 
     modes: ModeSet
@@ -91,11 +91,6 @@ class OscillatorBasis:
             object.__setattr__(self, "_table", cached)
         return cached
 
-    def variable_offset(self, l: int, s, i: int) -> int:
-        if l not in (1, 2) or i not in (1, 2):
-            raise ConfigError(f"polarization l and component i must be 1 or 2, got l={l}, i={i}")
-        return 4 * self.modes.prime_index(tuple(s)) + 2 * (l - 1) + (i - 1)
-
 
 @dataclass
 class StateVector:
@@ -152,9 +147,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix.getH(), hermitian=self.hermitian)
-
     def apply(self, state: StateVector) -> StateVector:
         return StateVector(self.matrix @ state.coefficients, state.basis)
 
@@ -192,7 +184,7 @@ def ladder_ops(variable, basis: OscillatorBasis) -> tuple:
     s = tuple(k.s) if isinstance(k, WaveVector) else tuple(k)
     if not basis.modes.contains_prime(s):
         raise ConfigError(f"mode {s} is not in the halved mode set")
-    var = basis.variable_offset(l, s, i)
+    var = basis.modes.variable_offset(l, s, i)
     down = _embed(_single_ladder(basis.cap), var, basis)
     return (OperatorMatrix(down), OperatorMatrix(down.getH()))
 

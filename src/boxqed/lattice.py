@@ -226,6 +226,12 @@ class ModeSet:
     def prime_index(self, s: tuple[int, int, int]) -> int:
         return self._prime_index[s]
 
+    def variable_offset(self, l: int, s, i: int) -> int:
+        """Flat offset 4*k_index + 2*(l-1) + (i-1) of field variable (l, k, i)."""
+        if l not in (1, 2) or i not in (1, 2):
+            raise ConfigError(f"polarization l and component i must be 1 or 2, got l={l}, i={i}")
+        return 4 * self.prime_index(tuple(s)) + 2 * (l - 1) + (i - 1)
+
     def contains_prime(self, s: tuple[int, int, int]) -> bool:
         return s in self._prime_index
 

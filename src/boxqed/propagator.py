@@ -5,12 +5,15 @@ endpoint of a straight path segment.  Two frozen step types realize it:
 ``AnalyticQuadraticStep`` for decoupled (purely quadratic) systems, where
 every field variable factorizes into a closed-form Hermite-basis matrix, and
 ``GalerkinStep``, which assembles the coupled one-step matrix by quadrature,
-with a Filon rule for the oscillatory longitudinal integral.  Each carries
-only its own knobs and caches its operators by step size;
-``StepBackend(kind, ...)`` builds either by name.  On top of the step sit the
-endpoint-difference maps (phi), the step-size search for an invertibility
-radius (rho*), the scalar-offset variant (G_eps), and the residual/convergence
-studies used as evidence that composed steps track the generator.
+with a Filon rule for the oscillatory longitudinal integral.  Both take
+their Hermite-basis tensors from one closed-form Gaussian kernel,
+``_gaussian_tables``; the decoupled step is its zero-coupling case on two
+variables.  Each type carries only its own knobs and caches its operators by
+step size; ``StepBackend(kind, ...)`` builds either by name.  On top of the
+step sit the endpoint-difference maps (phi), the step-size search for an
+invertibility radius (rho*), the scalar-offset variant (G_eps), and the
+residual/convergence studies used as evidence that composed steps track the
+generator.
 
 Sign conventions follow the action module: a segment runs from (s, y, Y) to
 (t, x, X) with the later endpoint first, and the interpolation parameter
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -86,77 +89,134 @@ def fresnel_gaussian(a: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Analytic one-variable step
+# Gaussian step kernel
 # ---------------------------------------------------------------------------
 
-def _pair_form(rho: float, omega: float, volume: float):
-    """Quadratic endpoint form of one field variable over one step.
+def _pair_gaussian(rho: float, omega: float, hbar: float, volume: float):
+    """Endpoint form, inverse width and norm of one field variable's step.
 
     Midpoint integration of the quadratic potential along the straight
-    segment gives phase coefficients a (both squares) and b (cross term).
+    segment gives phase coefficients a (both squares) and b (cross term);
+    with the Hermite weight they make the pair entries A11 (diagonal) and
+    A12 (later-earlier) of the Gaussian.  ``norm`` is the variable's kernel
+    normalization times the Hermite width and the zero-point phase
+    exp(i rho omega / 2), so the small-step limit is the identity.
     """
-    a = 1.0 / (2.0 * volume * rho) - rho * omega**2 / (6.0 * volume)
-    b = -1.0 / (volume * rho) - rho * omega**2 / (6.0 * volume)
-    return a, b
-
-
-def _guard_step_size(rho: float, omega_max: float) -> None:
-    if rho * rho * omega_max * omega_max >= 3.0:
+    if rho * rho * omega * omega >= 3.0:
         raise ConfigError(
             f"step {rho:g} is too large for the quadratic kernel branch; "
-            f"keep rho * omega below sqrt(3) (omega_max={omega_max:g})"
+            f"keep rho * omega below sqrt(3) (omega={omega:g})"
         )
+    a = 1.0 / (2.0 * volume * rho) - rho * omega**2 / (6.0 * volume)
+    b = -1.0 / (volume * rho) - rho * omega**2 / (6.0 * volume)
+    lam_sq = omega / (hbar * volume)
+    nu = math.sqrt(1.0 / (TWO_PI * hbar * volume * rho)) \
+        * complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
+    norm = nu * TWO_PI * math.sqrt(lam_sq / math.pi) * np.exp(0.5j * rho * omega)
+    return lam_sq - 2j * a / hbar, -1j * b / hbar, lam_sq, norm
 
 
-@lru_cache(maxsize=None)
-def _pair_coefficient_table(alpha: complex, beta: complex, cap: int):
-    """Taylor table of exp(alpha w^2 + beta w v + alpha v^2) up to cap."""
+@lru_cache(maxsize=8)
+def _degree_gathers(R: int, n: int) -> tuple:
+    """Gather indices of the Taylor recursion, one group per total degree.
+
+    Each group holds the flat indices of its multi-indices alpha over n
+    variables, the first axis i with alpha_i > 0, the flat index of
+    alpha - e_i, the n flat indices of alpha - e_i - e_j (R**n, a zero
+    slot, where that leaves the table) and alpha_i.
+    """
+    alphas = np.array(list(itertools.product(range(R), repeat=n)))
+    strides = R ** np.arange(n - 1, -1, -1)
+    degrees = alphas.sum(axis=1)
+    groups = []
+    for total in range(1, n * (R - 1) + 1):
+        group = alphas[degrees == total]
+        first = np.argmax(group > 0, axis=1)
+        reduced = group.copy()
+        reduced[np.arange(len(group)), first] -= 1
+        pairs = np.full((n, len(group)), R**n)
+        for j in range(n):
+            inside = reduced[:, j] > 0
+            pairs[j, inside] = (reduced[inside] @ strides) - strides[j]
+        groups.append((group @ strides, first, reduced @ strides, pairs,
+                       group[np.arange(len(group)), first].astype(float)))
+    return tuple(groups)
+
+
+def _coeff_tables(lam_tilde: np.ndarray, mu: Optional[np.ndarray],
+                  cap: int) -> np.ndarray:
+    """Batched Taylor tables of exp(u^T lam_tilde u + mu . u) in n duals.
+
+    The derivative recursion alpha_i c_alpha = mu_i c_{alpha - e_i}
+    + sum_j 2 lam_tilde_ij c_{alpha - e_i - e_j} fills every entry of one
+    total degree in one vectorized step, from the two degrees below it.
+    The rank n is the last axis of ``lam_tilde`` (batch, n, n); the shape
+    is (batch,) + (R,) * n.
+    """
     R = cap + 1
-    c = np.zeros((R, R), dtype=complex)
-    c[0, 0] = 1.0
-    for tot in range(1, 2 * R - 1):
-        for m in range(max(0, tot - R + 1), min(tot, R - 1) + 1):
-            n = tot - m
-            if m > 0:
-                acc = beta * c[m - 1, n - 1] if n >= 1 else 0.0
-                if m >= 2:
-                    acc += 2.0 * alpha * c[m - 2, n]
-                c[m, n] = acc / m
-            else:
-                acc = 2.0 * alpha * c[0, n - 2] if n >= 2 else 0.0
-                c[m, n] = acc / n
-    return c
+    batch, n = lam_tilde.shape[:2]
+    c = np.zeros((batch, R**n + 1), dtype=complex)
+    c[:, 0] = 1.0
+    for flat, first, reduced, pairs, divisor in _degree_gathers(R, n):
+        acc = np.zeros((batch, len(flat)), dtype=complex)
+        if mu is not None:
+            acc += mu[:, first] * c[:, reduced]
+        for j in range(n):
+            acc = acc + 2.0 * lam_tilde[:, first, j] * c[:, pairs[j]]
+        c[:, flat] = acc / divisor
+    return c[:, :R**n].reshape((batch,) + (R,) * n)
+
+
+def _gaussian_tables(pair, n: int, cap: int, d_vecs: Optional[np.ndarray] = None,
+                     coupling: complex = 0.0, eta: complex = 0.0) -> np.ndarray:
+    """Hermite-basis tensors of the step Gaussian over n endpoint variables.
+
+    ``pair`` is the ``_pair_gaussian`` tuple of the field variables.  The
+    endpoint form is M = B + coupling d d^T: B pairs each of the n / 2 later
+    variables (the first half) with its earlier one through (A11, A12), and
+    each row of ``d_vecs`` (batch, n) is one node's source direction; eta
+    is the linear source of a nonzero transverse momentum.  B^{-1} is closed
+    form, Sherman-Morrison gives M^{-1}, and
+    det M = det_q^(n/2) (1 + coupling d^T B^{-1} d), so the square root
+    needs no branch anchor.  Shape (batch,) + (cap + 1,) * n, batch 1
+    without ``d_vecs``.
+    """
+    A11, A12, lam_sq, norm = pair
+    half = n // 2
+    det_q = (A11 - A12) * (A11 + A12)
+    b_inv = np.kron(np.array([[A11, -A12], [-A12, A11]]) / det_q, np.eye(half))
+    if d_vecs is None:
+        d_vecs = np.zeros((1, n))
+    b_inv_d = d_vecs @ b_inv
+    ratio = 1.0 + coupling * np.einsum("zi,zi->z", d_vecs, b_inv_d)
+    m_inv = b_inv - (coupling / ratio)[:, None, None] \
+        * b_inv_d[:, :, None] * b_inv_d[:, None, :]
+    lam_tilde = 2.0 * lam_sq * m_inv - np.eye(n)
+    mu = None
+    scalar = 1.0
+    if eta != 0.0:
+        m_inv_d = b_inv_d / ratio[:, None]
+        mu = 2.0 * math.sqrt(lam_sq) * eta * m_inv_d
+        scalar = np.exp(0.5 * eta * eta * np.einsum("zi,zi->z", d_vecs, m_inv_d))
+    const = (norm / np.sqrt(det_q)) ** half * scalar / np.sqrt(ratio)
+    fac = np.array([math.factorial(i) / 2.0**i for i in range(cap + 1)])
+    hermite = reduce(np.multiply.outer, [np.sqrt(fac)] * n)
+    tables = _coeff_tables(lam_tilde, mu, cap)
+    return tables * const.reshape((-1,) + (1,) * n) * hermite
 
 
 def quadratic_variable_step(rho: float, omega: float, cap: int, *,
                             hbar: float = 1.0, volume: float = 1.0) -> np.ndarray:
     """One-step matrix of a single decoupled field variable on levels 0..cap.
 
-    The Hermite-basis matrix elements of the Gaussian step kernel follow from
-    a two-point generating function; the zero-point phase is included so the
+    The n = 2, sourceless case of ``_gaussian_tables``: the Hermite-basis
+    matrix elements of the Gaussian step kernel follow from a two-point
+    generating function, with the zero-point phase included so the
     small-step limit is the identity.
     """
     if rho <= 0.0:
         raise ConfigError("quadratic_variable_step needs rho > 0")
-    _guard_step_size(rho, omega)
-    lam_sq = omega / (hbar * volume)
-    a, b = _pair_form(rho, omega, volume)
-    A11 = lam_sq - 2j * a / hbar
-    A12 = -1j * b / hbar
-    det_q = (A11 - A12) * (A11 + A12)
-    inv11 = A11 / det_q
-    inv12 = -A12 / det_q
-    alpha = 2.0 * lam_sq * inv11 - 1.0
-    beta = 4.0 * lam_sq * inv12
-    nu = math.sqrt(1.0 / (TWO_PI * hbar * volume * rho)) \
-        * complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
-    c0 = nu * np.exp(0.5j * rho * omega) * TWO_PI / np.sqrt(det_q)
-    table = _pair_coefficient_table(complex(alpha), complex(beta), cap)
-    fac = np.array([math.factorial(i) for i in range(cap + 1)], dtype=float)
-    pow2 = 2.0 ** np.arange(cap + 1)
-    scale = math.sqrt(lam_sq) / math.sqrt(math.pi) \
-        * np.sqrt(np.outer(fac, fac) / np.outer(pow2, pow2))
-    return scale * c0 * table
+    return _gaussian_tables(_pair_gaussian(rho, omega, hbar, volume), 2, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +334,11 @@ class AnalyticQuadraticStep(_Step):
     def _build(self, rho: float) -> _AnalyticStep:
         basis = self.basis
         config = self.ctx.config
-        omegas = basis.omegas()
-        _guard_step_size(rho, float(np.max(omegas)) if omegas.size else 0.0)
-        mats = [
-            quadratic_variable_step(rho, float(w), basis.cap,
+        # The four variables of a mode share its frequency and its matrix.
+        mode_mats = [
+            quadratic_variable_step(rho, basis.c_light * wv.norm, basis.cap,
                                     hbar=basis.hbar, volume=basis.volume)
-            for w in omegas
+            for wv in basis.modes.lam_prime
         ]
         phases = None
         if config.n_particles:
@@ -292,7 +351,8 @@ class AnalyticQuadraticStep(_Step):
                 shape[j] = len(waves)
                 total = total + (energy / (2.0 * masses[j])).reshape(shape)
             phases = np.exp(-1j * rho * total.reshape(-1) / config.hbar)
-        return _AnalyticStep(mats, phases, self.state_dim)
+        return _AnalyticStep([m for m in mode_mats for _ in range(4)],
+                             phases, self.state_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -921,87 +981,6 @@ def _interp_coeffs(kappa: np.ndarray):
     return c1, c2
 
 
-@lru_cache(maxsize=8)
-def _degree_gathers(R: int) -> tuple:
-    """Gather indices of the Taylor recursion, one group per total degree.
-
-    Each group holds the flat indices of its multi-indices alpha, the first
-    axis i with alpha_i > 0, the flat index of alpha - e_i, the four flat
-    indices of alpha - e_i - e_j (R**4, a zero slot, where that leaves the
-    table) and alpha_i.
-    """
-    alphas = np.array(list(itertools.product(range(R), repeat=4)))
-    strides = R ** np.arange(3, -1, -1)
-    degrees = alphas.sum(axis=1)
-    groups = []
-    for total in range(1, 4 * (R - 1) + 1):
-        group = alphas[degrees == total]
-        first = np.argmax(group > 0, axis=1)
-        reduced = group.copy()
-        reduced[np.arange(len(group)), first] -= 1
-        pairs = np.full((4, len(group)), R**4)
-        for j in range(4):
-            inside = reduced[:, j] > 0
-            pairs[j, inside] = (reduced[inside] @ strides) - strides[j]
-        groups.append((group @ strides, first, reduced @ strides, pairs,
-                       group[np.arange(len(group)), first].astype(float)))
-    return tuple(groups)
-
-
-def _coeff_tables(lam_tilde: np.ndarray, mu: Optional[np.ndarray],
-                  cap: int) -> np.ndarray:
-    """Batched Taylor tables of exp(u^T lam_tilde u + mu . u) in four duals.
-
-    The derivative recursion alpha_i c_alpha = mu_i c_{alpha - e_i}
-    + sum_j 2 lam_tilde_ij c_{alpha - e_i - e_j} fills every entry of one
-    total degree in one vectorized step, from the two degrees below it;
-    shape (batch, R, R, R, R).
-    """
-    R = cap + 1
-    batch = lam_tilde.shape[0]
-    c = np.zeros((batch, R**4 + 1), dtype=complex)
-    c[:, 0] = 1.0
-    for flat, first, reduced, pairs, divisor in _degree_gathers(R):
-        acc = np.zeros((batch, len(flat)), dtype=complex)
-        if mu is not None:
-            acc += mu[:, first] * c[:, reduced]
-        for j in range(4):
-            acc = acc + 2.0 * lam_tilde[:, first, j] * c[:, pairs[j]]
-        c[:, flat] = acc / divisor
-    return c[:, :R**4].reshape(batch, R, R, R, R)
-
-
-def _field_block_tensors(d_vecs: np.ndarray, eta: complex, coupling: complex,
-                         m_base: np.ndarray, det_q2: complex, lam_sq: float,
-                         norm_const: complex, fac4: np.ndarray,
-                         cap: int) -> np.ndarray:
-    """Exact four-variable Gaussian tensors of one polarization block.
-
-    d_vecs holds the per-node source directions; coupling multiplies the
-    rank-one addition to the base quadratic form, eta the linear source from
-    a nonzero transverse momentum.  The square root of the determinant is
-    anchored to the uncoupled branch through the ratio to det_q2^2.
-    """
-    batch = d_vecs.shape[0]
-    M = np.broadcast_to(m_base, (batch, 4, 4)).copy()
-    M += coupling * np.einsum("zi,zj->zij", d_vecs, d_vecs)
-    m_inv = np.linalg.inv(M)
-    det_m = np.linalg.det(M)
-    ratio = det_m / (det_q2 * det_q2)
-    sqrt_det = det_q2 * np.sqrt(ratio)
-    lam_tilde = 2.0 * lam_sq * m_inv - np.eye(4)[None]
-    mu = None
-    scalar = np.ones(batch, dtype=complex)
-    if eta != 0.0:
-        m_inv_d = np.einsum("zij,zj->zi", m_inv, d_vecs)
-        mu = 2.0 * math.sqrt(lam_sq) * eta * m_inv_d
-        scalar = np.exp(0.5 * eta * eta
-                        * np.einsum("zi,zi->z", d_vecs, m_inv_d))
-    tables = _coeff_tables(lam_tilde, mu, cap)
-    const = norm_const * scalar / sqrt_det
-    return tables * const[:, None, None, None, None] * fac4[None]
-
-
 # Filon rule of the longitudinal integral, in kappa = k3 s_f zeta.  The
 # smooth factor oscillates at most like exp(2i kappa), so 16 Gauss-Legendre
 # nodes on panels at most 4 wide interpolate it; the panels cover |kappa|
@@ -1117,9 +1096,9 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     """Coupled one-step matrix on (field occupations) x (z-line plane waves).
 
     Transverse endpoint integrals are exact Gaussians, each polarization
-    block is an exact four-variable generating-function Gaussian per node,
-    and the remaining periodic x3 integral is a trapezoid rule.  The
-    oscillatory longitudinal integral, over zeta = w3 / s_f against
+    block is the four-variable ``_gaussian_tables`` per node, and the
+    remaining periodic x3 integral is a trapezoid rule.  The oscillatory
+    longitudinal integral, over zeta = w3 / s_f against
     exp(i (zeta^2 - beta_q zeta)), is the Filon rule of
     ``_longitudinal_rule``: its nodes sit on panels fixed in
     kappa = k3 s_f zeta, where the smooth factor lives, and the chirp is in
@@ -1140,29 +1119,12 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     wv = ctx.modes2.lam_prime[0]
     k3 = wv.norm
     omega = config.c_light * k3
-    _guard_step_size(rho, omega)
-    lam_sq = omega / (hbar * vol)
+    pair = _pair_gaussian(rho, omega, hbar, vol)
     s3 = wv.s[2]
     L3 = config.L[2]
 
     evecs = ctx.frame.e(wv)
     gamma = e_ch * math.sqrt(8.0 * math.pi) / vol
-    a_q, b_q = _pair_form(rho, omega, vol)
-    A11 = lam_sq - 2j * a_q / hbar
-    A12 = -1j * b_q / hbar
-    det_q2 = (A11 - A12) * (A11 + A12)
-    m_base = np.zeros((4, 4), dtype=complex)
-    np.fill_diagonal(m_base, A11)
-    m_base[0, 2] = m_base[2, 0] = A12
-    m_base[1, 3] = m_base[3, 1] = A12
-    nu_f_sq = -1j / (TWO_PI * hbar * vol * rho)
-    norm_const = nu_f_sq * TWO_PI**2 * lam_sq / math.pi
-
-    fac = np.array([math.factorial(i) for i in range(R)], dtype=float)
-    pow2 = 2.0 ** np.arange(R)
-    fac1 = np.sqrt(fac / pow2)
-    fac4 = (fac1[:, None, None, None] * fac1[None, :, None, None]
-            * fac1[None, None, :, None] * fac1[None, None, None, :])
 
     # Transverse momentum projections onto the polarization frame.
     t1, t2 = backend.transverse
@@ -1191,11 +1153,8 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
         )
 
     flat = R**4
-    base0, base1 = (
-        _field_block_tensors(np.zeros((1, 4)), etas[l], coupling, m_base,
-                             det_q2, lam_sq, norm_const, fac4, cap).reshape(flat)
-        for l in range(2))
-    pair_base = np.outer(base0, base1)
+    base = _gaussian_tables(pair, 4, cap).reshape(flat)
+    pair_base = np.outer(base, base)
 
     # Node data shared by every x3 node: endpoint averages and the W weight
     # rows of each chunk.
@@ -1216,12 +1175,10 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
             ec1 = rotation * c1
             ec2 = rotation * c2
             d = np.stack([ec1.real, ec1.imag, ec2.real, ec2.imag], axis=1)
-            block0 = _field_block_tensors(d, etas[0], coupling, m_base,
-                                          det_q2, lam_sq, norm_const, fac4,
-                                          cap).reshape(len(d), flat)
-            block1 = block0 if same_blocks else _field_block_tensors(
-                d, etas[1], coupling, m_base, det_q2, lam_sq, norm_const,
-                fac4, cap).reshape(len(d), flat)
+            block0 = _gaussian_tables(pair, 4, cap, d, coupling,
+                                      etas[0]).reshape(len(d), flat)
+            block1 = block0 if same_blocks else _gaussian_tables(
+                pair, 4, cap, d, coupling, etas[1]).reshape(len(d), flat)
             # C order keeps the reshape below a view: one GEMM per chunk
             weighted = np.multiply(weights[:, None, :], block0.T, order="C")
             partial += (weighted.reshape(W * flat, -1) @ block1).reshape(
@@ -1240,9 +1197,7 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     for q in range(W):
         acc[q, q] += free[q] * pair_base
 
-    global_phase = np.exp(2j * rho * omega) \
-        * np.exp(-1j * rho * float(p_perp @ p_perp) / (2.0 * m_p * hbar))
-    acc *= global_phase
+    acc *= np.exp(-1j * rho * float(p_perp @ p_perp) / (2.0 * m_p * hbar))
     # rows (a, b, e, f, wave p), columns (c, d, g, h, wave q)
     return np.transpose(acc.reshape((W, W) + (R,) * 8),
                         (2, 3, 6, 7, 0, 4, 5, 8, 9, 1)).reshape(flat * W,

@@ -22,10 +22,7 @@ from boxqed.field import FieldVector, extend_parity, tilde_A_with_derivatives, v
 from boxqed.propagator import (
     TWO_PI,
     _earlier_integrand,
-    _field_block_tensors,
-    _guard_step_size,
     _interp_coeffs,
-    _pair_form,
 )
 
 
@@ -322,28 +319,10 @@ def einsum_galerkin_matrix(backend, rho, rule, x3_nodes=32):
     wv = ctx.modes2.lam_prime[0]
     k3 = wv.norm
     omega = config.c_light * k3
-    _guard_step_size(rho, omega)
-    lam_sq = omega / (hbar * vol)
     s3 = wv.s[2]
 
     evecs = ctx.frame.e(wv)
     gamma = e_ch * math.sqrt(8.0 * math.pi) / vol
-    a_q, b_q = _pair_form(rho, omega, vol)
-    A11 = lam_sq - 2j * a_q / hbar
-    A12 = -1j * b_q / hbar
-    det_q2 = (A11 - A12) * (A11 + A12)
-    m_base = np.zeros((4, 4), dtype=complex)
-    np.fill_diagonal(m_base, A11)
-    m_base[0, 2] = m_base[2, 0] = A12
-    m_base[1, 3] = m_base[3, 1] = A12
-    nu_f_sq = -1j / (TWO_PI * hbar * vol * rho)
-    norm_const = nu_f_sq * TWO_PI**2 * lam_sq / math.pi
-
-    fac = np.array([math.factorial(i) for i in range(R)], dtype=float)
-    pow2 = 2.0 ** np.arange(R)
-    fac1 = np.sqrt(fac / pow2)
-    fac4 = (fac1[:, None, None, None] * fac1[None, :, None, None]
-            * fac1[None, None, :, None] * fac1[None, None, None, :])
 
     # Transverse momentum projections onto the polarization frame.
     t1, t2 = backend.transverse
@@ -364,11 +343,10 @@ def einsum_galerkin_matrix(backend, rho, rule, x3_nodes=32):
     s_f = math.sqrt(2.0 * hbar * rho / m_p)
     zeta, weights, line = rule
 
-    base_blocks = [
-        _field_block_tensors(np.zeros((1, 4)), etas[l], coupling, m_base,
-                             det_q2, lam_sq, norm_const, fac4, cap)[0]
-        for l in range(2)
-    ]
+    def blocks(d, eta):
+        return lu_gaussian_tables(rho, omega, d, coupling, eta, cap, hbar, vol)
+
+    base_blocks = [blocks(np.zeros((1, 4)), etas[l])[0] for l in range(2)]
     flat = R**4
     pair_base = np.einsum("abcd,efgh->abefcdgh",
                           base_blocks[0], base_blocks[1]).reshape(flat, flat)
@@ -388,12 +366,8 @@ def einsum_galerkin_matrix(backend, rho, rule, x3_nodes=32):
             ec1 = rotation * c1
             ec2 = rotation * c2
             d = np.stack([ec1.real, ec1.imag, ec2.real, ec2.imag], axis=1)
-            block0 = _field_block_tensors(d, etas[0], coupling, m_base,
-                                          det_q2, lam_sq, norm_const, fac4,
-                                          cap)
-            block1 = block0 if same_blocks else _field_block_tensors(
-                d, etas[1], coupling, m_base, det_q2, lam_sq, norm_const,
-                fac4, cap)
+            block0 = blocks(d, etas[0])
+            block1 = block0 if same_blocks else blocks(d, etas[1])
             pair = np.einsum("zabcd,zefgh->zabefcdgh", block0,
                              block1).reshape(len(zc), flat * flat)
             pair -= pair_base.reshape(-1)[None, :]
@@ -405,32 +379,75 @@ def einsum_galerkin_matrix(backend, rho, rule, x3_nodes=32):
     for b in range(W):
         total[b, b] += normal * line[b] * pair_base.reshape(-1)
 
-    global_phase = np.exp(2j * rho * omega) \
-        * np.exp(-1j * rho * float(p_perp @ p_perp) / (2.0 * m_p * hbar))
+    global_phase = np.exp(-1j * rho * float(p_perp @ p_perp) / (2.0 * m_p * hbar))
     total = global_phase * total.reshape(W, W, flat, flat)
     matrix = np.transpose(total, (2, 0, 3, 1)).reshape(flat * W, flat * W)
     return matrix
+
+
+def lu_gaussian_tables(rho, omega, d_vecs, coupling, eta, cap, hbar=1.0,
+                       vol=1.0):
+    """Four-variable step Gaussian tensors of one polarization block.
+
+    The route the closed-form kernel ``propagator._gaussian_tables``
+    replaced: per node the endpoint form M = B + coupling d d^T is assembled
+    as a 4 x 4 matrix and passed to ``np.linalg.inv`` and ``np.linalg.det``,
+    and the square root of det M is anchored to the uncoupled branch through
+    the ratio to det_q^2.  Variables 0, 1 are the later endpoint's and pair
+    with the earlier 2, 3.  The tensors include the two variables'
+    zero-point phase exp(i rho omega); shape (batch, R, R, R, R).
+    """
+    lam_sq = omega / (hbar * vol)
+    a_q = 1.0 / (2.0 * vol * rho) - rho * omega**2 / (6.0 * vol)
+    b_q = -1.0 / (vol * rho) - rho * omega**2 / (6.0 * vol)
+    A11 = lam_sq - 2j * a_q / hbar
+    A12 = -1j * b_q / hbar
+    det_q2 = (A11 - A12) * (A11 + A12)
+    m_base = np.zeros((4, 4), dtype=complex)
+    np.fill_diagonal(m_base, A11)
+    m_base[0, 2] = m_base[2, 0] = A12
+    m_base[1, 3] = m_base[3, 1] = A12
+    norm_const = -1j / (TWO_PI * hbar * vol * rho) * TWO_PI**2 * lam_sq / math.pi
+    fac1 = np.array([math.sqrt(math.factorial(i) / 2.0**i) for i in range(cap + 1)])
+    fac4 = np.einsum("a,b,c,d->abcd", fac1, fac1, fac1, fac1)
+
+    batch = d_vecs.shape[0]
+    M = np.broadcast_to(m_base, (batch, 4, 4)).copy()
+    M += coupling * np.einsum("zi,zj->zij", d_vecs, d_vecs)
+    m_inv = np.linalg.inv(M)
+    sqrt_det = det_q2 * np.sqrt(np.linalg.det(M) / (det_q2 * det_q2))
+    lam_tilde = 2.0 * lam_sq * m_inv - np.eye(4)[None]
+    mu = None
+    scalar = np.ones(batch, dtype=complex)
+    if eta != 0.0:
+        m_inv_d = np.einsum("zij,zj->zi", m_inv, d_vecs)
+        mu = 2.0 * math.sqrt(lam_sq) * eta * m_inv_d
+        scalar = np.exp(0.5 * eta * eta * np.einsum("zi,zi->z", d_vecs, m_inv_d))
+    tables = looped_coeff_tables(lam_tilde, mu, cap)
+    const = norm_const * np.exp(1j * rho * omega) * scalar / sqrt_det
+    return tables * const[:, None, None, None, None] * fac4[None]
 
 
 def looped_coeff_tables(lam_tilde, mu, cap):
     """Taylor tables of exp(u^T lam_tilde u + mu . u), one entry at a time.
 
     The per-entry loop over the multi-indices sorted by total degree that
-    the degree-by-degree gathers replaced; shape (batch, R, R, R, R).
+    the degree-by-degree gathers replaced.  The rank n is the last axis of
+    ``lam_tilde`` (batch, n, n); shape (batch,) + (R,) * n.
     """
     R = cap + 1
-    batch = lam_tilde.shape[0]
-    c = np.zeros((batch, R, R, R, R), dtype=complex)
-    c[:, 0, 0, 0, 0] = 1.0
-    alphas = sorted(itertools.product(range(R), repeat=4), key=sum)
+    batch, n = lam_tilde.shape[:2]
+    c = np.zeros((batch,) + (R,) * n, dtype=complex)
+    c[(slice(None),) + (0,) * n] = 1.0
+    alphas = sorted(itertools.product(range(R), repeat=n), key=sum)
     for alpha in alphas[1:]:
-        i = next(ax for ax in range(4) if alpha[ax] > 0)
+        i = next(ax for ax in range(n) if alpha[ax] > 0)
         acc = np.zeros(batch, dtype=complex)
         reduced = list(alpha)
         reduced[i] -= 1
         if mu is not None:
             acc += mu[:, i] * c[(slice(None), *reduced)]
-        for j in range(4):
+        for j in range(n):
             idx = list(reduced)
             idx[j] -= 1
             if idx[j] < 0:

@@ -46,7 +46,10 @@ from boxqed.propagator import (
     _coeff_tables,
     _earlier_integrand,
     _galerkin_matrix,
+    _gaussian_tables,
+    _interp_coeffs,
     _longitudinal_rule,
+    _pair_gaussian,
 )
 from oracles import (
     damped_fresnel_quadrature,
@@ -57,6 +60,7 @@ from oracles import (
     looped_earlier_integrand,
     looped_phi_jacobian_det,
     looped_phi_values,
+    lu_gaussian_tables,
     step_matrix_by_quadrature,
     trapezoid_longitudinal_rule,
 )
@@ -956,13 +960,49 @@ class TestCoeffTables:
     @pytest.mark.parametrize("cap", [0, 1, 2, 4])
     @pytest.mark.parametrize("with_mu", [False, True])
     def test_matches_looped_oracle(self, cap, with_mu):
-        rng = np.random.default_rng(cap + 10 * with_mu)
-        batch = 5
-        lam = rng.normal(size=(batch, 4, 4)) + 1j * rng.normal(size=(batch, 4, 4))
-        lam = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
-        mu = rng.normal(size=(batch, 4)) + 1j * rng.normal(size=(batch, 4)) \
-            if with_mu else None
-        got = _coeff_tables(lam, mu, cap)
-        expected = looped_coeff_tables(lam, mu, cap)
-        assert got.shape == expected.shape == (batch,) + (cap + 1,) * 4
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        """At both ranks the step kernel uses: 2 (analytic), 4 (galerkin)."""
+        for n in (2, 4):
+            rng = np.random.default_rng(cap + 10 * with_mu + (100 if n == 2 else 0))
+            batch = 5
+            lam = rng.normal(size=(batch, n, n)) \
+                + 1j * rng.normal(size=(batch, n, n))
+            lam = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
+            mu = rng.normal(size=(batch, n)) + 1j * rng.normal(size=(batch, n)) \
+                if with_mu else None
+            got = _coeff_tables(lam, mu, cap)
+            expected = looped_coeff_tables(lam, mu, cap)
+            assert got.shape == expected.shape == (batch,) + (cap + 1,) * n
+            assert np.abs(got - expected).max() \
+                <= 1e-14 * np.abs(expected).max()
+
+
+class TestGaussianKernel:
+    @pytest.mark.parametrize("charge", [0.0, 0.9])
+    @pytest.mark.parametrize("rho", [0.5, 0.0625])
+    def test_closed_form_matches_assembled_inverse(self, rho, charge):
+        """Sherman-Morrison tables against per-node np.linalg.inv/det with
+        the anchored square root, on the galerkin nodes of both blocks."""
+        config, ctx, basis = galerkin_parts(charge, cap=3)
+        backend = StepBackend("galerkin", basis, ctx, transverse=(1, 0))
+        wv = ctx.modes2.lam_prime[0]
+        omega = config.c_light * wv.norm
+        scale, beta = longitudinal_data(backend, rho)
+        zeta, _, _ = _longitudinal_rule(scale, beta)
+        c1, c2 = _interp_coeffs(scale * zeta)
+        gamma = charge * math.sqrt(8.0 * math.pi) / VOL
+        # unit mass and hbar, as in galerkin_parts
+        coupling = 1j * rho * gamma * gamma
+        p_perp = np.array([TWO_PI / BOX[0], 0.0, 0.0])
+        pair = _pair_gaussian(rho, omega, 1.0, VOL)
+        for j in range(0, 32, 8):
+            rotation = np.exp(1j * TWO_PI * wv.s[2] * j / 32)
+            d = np.stack([(rotation * c1).real, (rotation * c1).imag,
+                          (rotation * c2).real, (rotation * c2).imag], axis=1)
+            for evec in ctx.frame.e(wv):
+                eta = 1j * rho * gamma * float(p_perp @ evec)
+                got = _gaussian_tables(pair, 4, basis.cap, d, coupling, eta)
+                expected = lu_gaussian_tables(rho, omega, d, coupling, eta,
+                                              basis.cap, vol=VOL)
+                assert got.shape == expected.shape == (len(d),) + (4,) * 4
+                assert np.abs(got - expected).max() \
+                    <= 1e-12 * np.abs(expected).max()
