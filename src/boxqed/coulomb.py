@@ -9,11 +9,12 @@ covering each exterior lattice cell by the integral of phi bounds the tail.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import integrate
 from scipy.special import erf, erfc
 
 from .errors import BudgetError, ConfigError, InvariantViolation
@@ -25,6 +26,10 @@ PI_SQ = math.pi ** 2
 # Cap on the lattice points of one slab enumeration, checked before they are
 # allocated.
 _POINT_BUDGET = int(2e8)
+
+# Shells per block of the radial sum, so its temporaries stay a few MB
+# beside the table and its one contributions array.
+_SHELL_BLOCK = 1 << 20
 
 
 def _deterministic_sum(values: np.ndarray) -> float:
@@ -191,13 +196,34 @@ def _indicator(top: int, exponents: np.ndarray, weight: float) -> np.ndarray:
     return series
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _fill_scaled(out: np.ndarray, spectrum: np.ndarray, size: int,
                  factor: float) -> None:
     """Write factor times the leading entries of the integer series whose
-    length-``size`` real spectrum is given into ``out``; the spectrum is
-    consumed."""
-    series = fft.irfft(spectrum, n=size, overwrite_x=True)[: len(out)]
+    length-``size`` real spectrum is given into ``out``."""
+    series = np.fft.irfft(spectrum, n=size)[: len(out)]
     np.multiply(_round_to_integers(series), factor, out=out)
+
+
+def _fill_eighth_shells(out: np.ndarray, t: np.ndarray, n_max: int) -> None:
+    """r3(8j+3) = 8 [P(y)^3]_j for 8j+3 <= n_max, written into ``out``."""
+    top = max(n_max - 3, 0) // 8
+    size = _fast_len(3 * top + 1)
+    spectrum = np.fft.rfft(_indicator(top, t * (t + 1) // 2, 1.0), n=size)
+    np.power(spectrum, 3, out=spectrum)
+    _fill_scaled(out, spectrum, size, 8.0)
 
 
 # Largest three-squares table built so far, read-only; smaller requests are
@@ -218,9 +244,15 @@ def _three_squares_counts(n_max: int) -> np.ndarray:
     are 6 [E^2 P(x^2)]_m and 12 [E P(x^2)^2]_m, from one real FFT each of E
     and P(x^2) padded to 3 (n_max-1)//4 + 1 so no kept entry aliases;
     r3(8j+3) is 8 [P^3]_j from an eighth-size transform pair; and
-    r3(8j+7) = 0.  Every product is rounded back to exact integers.  The
-    largest table is kept for the process; a request it covers is a
-    read-only prefix view of it, and a larger one builds a new table.
+    r3(8j+7) = 0.  Every product is rounded back to exact integers.
+
+    The transforms are numpy's, which release the GIL, so one helper thread
+    overlaps them: it transforms P(x^2) while this thread transforms E, then
+    runs the eighth-size pair while this thread runs the two full-size
+    inverses.  An error in either thread reaches the caller, and the kept
+    table changes only once both have finished.  The largest table is kept
+    for the process; a request it covers is a read-only prefix view of it,
+    and a larger one builds a new table.
     """
     global _R3_TABLE
     table = _R3_TABLE
@@ -228,32 +260,51 @@ def _three_squares_counts(n_max: int) -> np.ndarray:
         table = np.zeros(n_max + 1)
         table[0::4] = _three_squares_counts(n_max // 4) if n_max else 1.0
         t = np.arange(math.isqrt(2 * n_max) + 2)
-
         top = max(n_max - 1, 0) // 4
-        size = fft.next_fast_len(3 * top + 1, real=True)
-        even = _indicator(top, t * t, 2.0)
-        even[0] = 1.0       # t = 0 is the one square with a single sign
-        evens = fft.rfft(even, n=size)
-        del even
-        odds = fft.rfft(_indicator(top, t * (t + 1), 1.0), n=size)
-        mixed = evens * odds
-        evens *= mixed      # E^2 P(x^2)
-        mixed *= odds       # E P(x^2)^2
-        del odds
-        _fill_scaled(table[1::4], evens, size, 6.0)
-        del evens
-        _fill_scaled(table[2::4], mixed, size, 12.0)
-        del mixed
-
-        top = max(n_max - 3, 0) // 8
-        size = fft.next_fast_len(3 * top + 1, real=True)
-        spectrum = fft.rfft(_indicator(top, t * (t + 1) // 2, 1.0), n=size)
-        np.power(spectrum, 3, out=spectrum)
-        _fill_scaled(table[3::8], spectrum, size, 8.0)
+        size = _fast_len(3 * top + 1)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            odds = helper.submit(
+                lambda: np.fft.rfft(_indicator(top, t * (t + 1), 1.0), n=size))
+            even = _indicator(top, t * t, 2.0)
+            even[0] = 1.0       # t = 0 is the one square with a single sign
+            evens = np.fft.rfft(even, n=size)
+            del even
+            odds = odds.result()
+            eighth = helper.submit(_fill_eighth_shells, table[3::8], t, n_max)
+            mixed = evens * odds
+            evens *= mixed      # E^2 P(x^2)
+            mixed *= odds       # E P(x^2)^2
+            del odds
+            _fill_scaled(table[1::4], evens, size, 6.0)
+            del evens
+            _fill_scaled(table[2::4], mixed, size, 12.0)
+            del mixed
+            eighth.result()
 
         table.flags.writeable = False
         _R3_TABLE = table
     return table[: n_max + 1]
+
+
+def _shell_contributions(counts: np.ndarray, step: float,
+                         radial_fn) -> tuple[np.ndarray, int]:
+    """r3(n) radial_fn(step sqrt(n)) on every occupied shell n >= 1, in shell
+    order, and the number of lattice points they hold.
+
+    The shells are visited in blocks of ``_SHELL_BLOCK`` that fill one
+    preallocated array, so no temporary spans the whole table.
+    """
+    contributions = np.empty(int(np.count_nonzero(counts[1:])))
+    filled = 0
+    for start in range(1, len(counts), _SHELL_BLOCK):
+        block = counts[start:start + _SHELL_BLOCK]
+        shells = np.flatnonzero(block)
+        values = np.asarray(radial_fn(step * np.sqrt(shells + start)),
+                            dtype=float)
+        np.multiply(block[shells], values,
+                    out=contributions[filled:filled + len(shells)])
+        filled += len(shells)
+    return contributions, int(np.sum(counts[1:]))
 
 
 def riemann_sum(summand: LatticeSummand, L,
@@ -279,11 +330,8 @@ def riemann_sum(summand: LatticeSummand, L,
                 raise BudgetError(
                     f"radial path needs {n_max} shells at radius {radius:g}"
                 )
-            counts = _three_squares_counts(n_max)
-            shells = np.flatnonzero(counts[1:]) + 1
-            radii = step * np.sqrt(shells)
-            contributions = counts[shells] * np.asarray(summand.radial_fn(radii), dtype=float)
-            n_points = int(np.sum(counts[1:]))
+            contributions, n_points = _shell_contributions(
+                _three_squares_counts(n_max), step, summand.radial_fn)
         else:
             contributions, n_points = _slab_contributions(
                 box, radius,

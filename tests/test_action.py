@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -134,6 +134,21 @@ class TestAdaptiveQuadrature:
             adaptive_gauss_legendre(integrand, max_depth=4)
         assert calls == [16]
 
+    def test_jump_test_makes_no_call(self):
+        calls = []
+
+        def integrand(t):
+            calls.append(len(t))
+            return np.exp(t)
+
+        adaptive_gauss_legendre(integrand)
+        assert calls == [16, 16, 16]
+
+    def test_jump_at_max_depth_raises(self):
+        # the kink sits where [0, 0.5] and [0.5, 1] meet, unseen by either
+        with pytest.raises(BudgetError, match="meeting at 0.5 .* maximum depth 1"):
+            adaptive_gauss_legendre(lambda t: np.abs(t - 0.501), max_depth=1)
+
     def test_unconverged_panel_at_max_depth_raises(self):
         # a kink off the dyadic grid cannot meet a tolerance below rounding
         # within four halvings; the driver must say so, not return a value
@@ -157,15 +172,27 @@ class TestAdaptiveQuadrature:
         with pytest.raises(InvariantViolation, match="not finite"):
             adaptive_gauss_legendre(integrand, start, start + width)
 
+    # Kinks next to a panel end, where no node of the panel or of its halves
+    # lies: with the shift test alone, |t - 0.501| came out 4e-6 too small.
     @settings(max_examples=30, deadline=None)
     @given(kink=st.floats(0.01, 0.99), slope=st.floats(0.1, 10.0))
+    @example(kink=0.501, slope=1.0)
+    @example(kink=0.5 - 1e-5, slope=1.0)
+    @example(kink=0.2501, slope=1.0)
+    @example(kink=0.7502, slope=1.0)
+    @example(kink=0.285149015001663, slope=1.0)
+    @example(kink=0.7148353773702055, slope=1.0)
     def test_kink_at_a_random_point_converges(self, kink, slope):
         got = adaptive_gauss_legendre(lambda t: slope * np.abs(t - kink))
         exact = 0.5 * slope * (kink**2 + (1.0 - kink) ** 2)
         assert abs(got - exact) <= 1e-10 * exact
 
+    # At cusp 0.9599594468261277 the halves of [0.5, 1] matched the whole to
+    # 2e-7 relative while the value was 4e-4 off; the jump where the halves
+    # meet exposes it.
     @settings(max_examples=30, deadline=None)
     @given(cusp=st.floats(0.0, 1.0), depth=st.integers(1, 6))
+    @example(cusp=0.9599594468261277, depth=1)
     def test_unreachable_tolerance_raises(self, cusp, depth):
         # sqrt|t - c| has an unbounded derivative at c, wherever c falls, so
         # the panel holding it never meets a tolerance below rounding

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import fft, integrate
 from scipy.special import erf
 
 from boxqed import SimulationConfig, build_mode_set, coulomb
@@ -307,18 +307,42 @@ class TestThreeSquaresTable:
     def test_transforms_stay_at_quarter_length(self, monkeypatch):
         n_max = 65536
         lengths = []
-        rfft = coulomb.fft.rfft
+        rfft = np.fft.rfft
 
         def recording(x, n=None, *args, **kwargs):
             lengths.append(len(x) if n is None else n)
             return rfft(x, n, *args, **kwargs)
 
         monkeypatch.setattr(coulomb, "_R3_TABLE", np.zeros(0))
-        monkeypatch.setattr(coulomb.fft, "rfft", recording)
+        monkeypatch.setattr(np.fft, "rfft", recording)
         table = coulomb._three_squares_counts(n_max)
         assert lengths
-        assert max(lengths) <= coulomb.fft.next_fast_len(
-            3 * ((n_max - 1) // 4) + 1, real=True)
+        assert max(lengths) <= coulomb._fast_len(3 * ((n_max - 1) // 4) + 1)
+        assert np.array_equal(table, single_cube_three_squares_counts(n_max))
+
+    def test_fast_len_matches_scipy(self):
+        for n in [*range(1, 5001), 3 * (2 ** 22 - 1) + 1]:
+            assert coulomb._fast_len(n) == fft.next_fast_len(n, real=True), n
+
+    def test_drift_in_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        n_max = 262144
+        monkeypatch.setattr(coulomb, "_R3_TABLE", np.zeros(0))
+        kept = coulomb._three_squares_counts(n_max // 4)
+        before = coulomb._R3_TABLE
+        eighth = coulomb._fast_len(3 * ((n_max - 3) // 8) + 1)
+        irfft = np.fft.irfft
+
+        def drifting(a, n=None, *args, **kwargs):
+            out = irfft(a, n, *args, **kwargs)
+            return out + 0.3 if n == eighth else out
+
+        monkeypatch.setattr(np.fft, "irfft", drifting)
+        with pytest.raises(InvariantViolation):
+            coulomb._three_squares_counts(n_max)
+        assert coulomb._R3_TABLE is before
+        assert np.array_equal(coulomb._R3_TABLE, kept)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        table = coulomb._three_squares_counts(n_max)
         assert np.array_equal(table, single_cube_three_squares_counts(n_max))
 
     def test_prefix_of_cached_table_equals_fresh_build(self, monkeypatch):
@@ -350,6 +374,35 @@ class TestThreeSquaresTable:
         # Recorded with the two-fftconvolve table and all-shell evaluation.
         value = riemann_sum(inverse_quartic_summand(), 30.0).value
         assert repr(value) == "17.852232104465006"
+
+    def test_shell_blocks_do_not_change_a_bit(self, monkeypatch):
+        summand = inverse_quartic_summand()
+        default = {L: riemann_sum(summand, L) for L in (15.0, 30.0)}
+        # 4096 splits the larger doublings evenly; 2^20 - 1 leaves a ragged
+        # last block
+        for block in (4096, 2 ** 20 - 1):
+            monkeypatch.setattr(coulomb, "_SHELL_BLOCK", block)
+            for L, expected in default.items():
+                result = riemann_sum(summand, L)
+                assert result.value.hex() == expected.value.hex()
+                assert result.n_points == expected.n_points
+                assert result.tail_bound.hex() == expected.tail_bound.hex()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize(
+        "make", [inverse_quartic_summand, screened_inverse_square_summand])
+    def test_tiny_shell_blocks_give_the_same_contributions(
+            self, monkeypatch, make, block):
+        # riemann_sum at these block sizes would take about a minute, so the
+        # shell sum is checked on a 2^16-shell table directly
+        counts = coulomb._three_squares_counts(2 ** 16)
+        radial_fn = make().radial_fn
+        expected, points = coulomb._shell_contributions(counts, 0.2, radial_fn)
+        monkeypatch.setattr(coulomb, "_SHELL_BLOCK", block)
+        contributions, n_points = coulomb._shell_contributions(
+            counts, 0.2, radial_fn)
+        assert contributions.tobytes() == expected.tobytes()
+        assert n_points == points
 
     def test_import_leaves_scipy_signal_unloaded(self):
         code = "import sys, boxqed; print('scipy.signal' in sys.modules)"
