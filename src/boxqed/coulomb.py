@@ -181,7 +181,8 @@ def _round_to_integers(values: np.ndarray) -> np.ndarray:
     (or a NaN) is more than 1e-3 from an integer.  Empty entries come back as
     +0.0, never -0.0."""
     rounded = np.rint(values)
-    drift = float(np.max(np.abs(values - rounded), initial=0.0))
+    gap = values - rounded
+    drift = float(np.max(np.abs(gap, out=gap), initial=0.0))
     if not drift <= 1e-3:
         raise InvariantViolation(
             f"integer table drifted {drift:.3g} from the nearest integers"

@@ -113,12 +113,6 @@ class MollifierPair:
         return cls(psi=psi, psi_prime=psi_prime, g=g, g_grad=g_grad,
                    sigma_psi=sigma, width_g=width)
 
-    def check_oddness(self, samples) -> float:
-        worst = 0.0
-        for theta in samples:
-            worst = max(worst, abs(float(self.psi(theta)) + float(self.psi(-theta))))
-        return worst
-
 
 @dataclass(frozen=True)
 class ModelContext:

@@ -150,15 +150,6 @@ class OperatorMatrix:
     def apply(self, state: StateVector) -> StateVector:
         return StateVector(self.matrix @ state.coefficients, state.basis)
 
-    def sparsity_stats(self) -> dict:
-        nnz = int(self.matrix.nnz)
-        return {
-            "dim": self.dim,
-            "nnz": nnz,
-            "density": nnz / float(self.dim) ** 2 if self.dim else 0.0,
-            "hermitian": self.hermitian,
-        }
-
 
 def _single_ladder(cap: int) -> sparse.csr_matrix:
     return sparse.diags(np.sqrt(np.arange(1.0, cap + 1)), offsets=1,

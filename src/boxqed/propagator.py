@@ -265,9 +265,6 @@ _STEP_CACHE_CAP = 64
 # x3 nodes times the zeta nodes of one assembly.
 _GALERKIN_BUDGET = 400_000
 
-# Trapezoid nodes of the galerkin step's periodic x3 integral.
-_X3_NODES = 32
-
 
 @dataclass(frozen=True, eq=False)
 class _Step:
@@ -363,7 +360,7 @@ class GalerkinStep(_Step):
     z-line plane waves |m3| <= ``wave_cutoff`` at the fixed ``transverse``
     wave numbers.  The oscillatory longitudinal displacement integral is a
     Filon rule of about 96 nodes at every step size, and the periodic x3
-    coordinate a trapezoid rule of ``_X3_NODES`` nodes; ``_GALERKIN_BUDGET``
+    coordinate an exact trapezoid rule of ``x3_nodes``; ``_GALERKIN_BUDGET``
     caps the node count of either.
     """
 
@@ -410,6 +407,12 @@ class GalerkinStep(_Step):
     @property
     def state_dim(self) -> int:
         return self.basis.dim * (2 * self.wave_cutoff + 1)
+
+    @property
+    def x3_nodes(self) -> int:
+        """Trapezoid nodes exact for the x3 integrand (``_galerkin_matrix``)."""
+        s3 = self.ctx.modes2.lam_prime[0].s[2]
+        return 8 * s3 * self.basis.cap + 2 * self.wave_cutoff + 1
 
     def _build(self, rho: float) -> _MatrixStep:
         return _MatrixStep(_galerkin_matrix(self, rho))
@@ -1097,7 +1100,8 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
 
     Transverse endpoint integrals are exact Gaussians, each polarization
     block is the four-variable ``_gaussian_tables`` per node, and the
-    remaining periodic x3 integral is a trapezoid rule.  The oscillatory
+    remaining periodic x3 integral is a trapezoid rule of
+    ``backend.x3_nodes`` nodes.  The oscillatory
     longitudinal integral, over zeta = w3 / s_f against
     exp(i (zeta^2 - beta_q zeta)), is the Filon rule of
     ``_longitudinal_rule``: its nodes sit on panels fixed in
@@ -1106,6 +1110,14 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     1 / rho.  The kappa -> infinity limit of the integrand (``pair_base``)
     is split off and integrated in closed form, so the vanishing-coupling
     case reproduces the analytic backend exactly.
+
+    That rule is exact: it integrates trigonometric polynomials of degree
+    below its node count exactly (Trefethen and Weideman, SIAM Rev. 56
+    (2014) 385), and x3 enters only as phases.  ``rotation = exp(2 pi i s3
+    x3)`` turns each (Re, Im) pair of ``d``, and B^-1, the Sherman-Morrison
+    ratio and the ``eta`` scalar are invariant under that turn, so each
+    polarization block has degree <= 4 s3 cap in x3.  The two blocks and
+    ``x_fac`` together have degree <= 8 s3 cap + 2 wave_cutoff.
     """
     ctx = backend.ctx
     config = ctx.config
@@ -1146,9 +1158,10 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     beta = (TWO_PI / L3) * m3 * s_f
 
     zeta, weights, line = _longitudinal_rule(k3 * s_f, beta)
-    if _X3_NODES * len(zeta) > _GALERKIN_BUDGET:
+    x3_nodes = backend.x3_nodes
+    if x3_nodes * len(zeta) > _GALERKIN_BUDGET:
         raise BudgetError(
-            f"galerkin quadrature wants {_X3_NODES * len(zeta)} nodes, "
+            f"galerkin quadrature wants {x3_nodes * len(zeta)} nodes, "
             f"over the budget of {_GALERKIN_BUDGET}"
         )
 
@@ -1168,8 +1181,8 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     # weighted by wave row q and phased by the x3 Fourier factor of (p, q).
     acc = np.zeros((W, W, flat, flat), dtype=complex)
     same_blocks = etas[0] == etas[1]
-    for j in range(_X3_NODES):
-        rotation = np.exp(1j * TWO_PI * s3 * j / _X3_NODES)
+    for j in range(x3_nodes):
+        rotation = np.exp(1j * TWO_PI * s3 * j / x3_nodes)
         partial = -weight_sum[:, None, None] * pair_base
         for c1, c2, weights in chunks:
             ec1 = rotation * c1
@@ -1184,7 +1197,7 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
             partial += (weighted.reshape(W * flat, -1) @ block1).reshape(
                 W, flat, flat)
         x_fac = np.exp(1j * TWO_PI * (m3[None, :] - m3[:, None])
-                       * j / _X3_NODES)
+                       * j / x3_nodes)
         for p in range(W):
             acc[p] += x_fac[p][:, None, None] * partial
 
@@ -1193,7 +1206,7 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     normal = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)) \
         / math.sqrt(math.pi)
     free = normal * line
-    acc *= normal / _X3_NODES
+    acc *= normal / x3_nodes
     for q in range(W):
         acc[q, q] += free[q] * pair_base
 

@@ -291,7 +291,7 @@ def longitudinal_data(backend, rho):
     return wv.norm * s_f, (TWO_PI / config.L[2]) * m3 * s_f
 
 
-def einsum_galerkin_matrix(backend, rho, rule, x3_nodes=32):
+def einsum_galerkin_matrix(backend, rho, rule, x3_nodes):
     """Coupled one-step matrix on (field occupations) x (z-line plane waves).
 
     The per-node outer-product assembly the batched galerkin chunk loop

@@ -374,12 +374,6 @@ class TestOperatorMatrix:
         with pytest.raises(InvariantViolation):
             OperatorMatrix(bad, hermitian=True)
 
-    def test_sparsity_stats(self, basis):
-        stats = h_rad(basis).sparsity_stats()
-        assert stats["dim"] == basis.dim
-        assert stats["hermitian"] is True
-        assert 0.0 < stats["density"] < 1.0
-
 
 # ----------------------------------------------------------------------------
 # Hamiltonian assembly

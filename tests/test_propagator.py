@@ -83,11 +83,12 @@ def field_only_backend(cap=4, offset_modes=False):
     return StepBackend("analytic-quadratic", basis, ctx)
 
 
-def galerkin_parts(charge, cap=2):
+def galerkin_parts(charge, cap=2, s3=1):
     config = SimulationConfig(L=BOX, n_particles=1, masses=(1.0,),
                               charges=(charge,), sigma_psi=1e6)
-    ctx = ModelContext.custom(config, EMPTY, ONE_MODE, ONE_MODE)
-    basis = OscillatorBasis(ONE_MODE, cap=cap, volume=config.volume)
+    mode = ModeSet.from_s_triples([(0, 0, s3)], BOX)
+    ctx = ModelContext.custom(config, EMPTY, mode, mode)
+    basis = OscillatorBasis(mode, cap=cap, volume=config.volume)
     return config, ctx, basis
 
 
@@ -250,8 +251,9 @@ class TestStepBackend:
                 StepBackend("analytic-quadratic", backend.basis, backend.ctx,
                             **knob)
         _, ctx, basis = galerkin_parts(0.5)
-        with pytest.raises(TypeError):
-            StepBackend("galerkin", basis, ctx, wave_indices=ZLINE_WAVES)
+        for knob in ({"wave_indices": ZLINE_WAVES}, {"x3_nodes": 8}):
+            with pytest.raises(TypeError):
+                StepBackend("galerkin", basis, ctx, **knob)
 
     def test_fields_are_frozen(self):
         analytic = field_only_backend()
@@ -801,26 +803,48 @@ class TestGalerkinBackend:
         with pytest.raises(ConfigError, match="pair"):
             StepBackend("galerkin", basis, ctx, transverse=(0,))
 
-    @pytest.mark.parametrize("charge, cap, transverse, rho, x3_nodes", [
-        (0.9, 2, (0, 0), 0.5, 32),
-        # small steps widen the Fresnel grid; fewer x3 nodes keep the
-        # einsum oracle quick
-        (0.9, 2, (0, 0), 1.0 / 16.0, 8),
+    @pytest.mark.parametrize("charge, cap, transverse, rho", [
+        (0.9, 2, (0, 0), 0.5),
+        (0.9, 2, (0, 0), 1.0 / 16.0),
         # transverse momentum makes the two polarization blocks differ
-        (0.9, 1, (1, 0), 0.5, 32),
-        (0.0, 2, (0, 0), 0.5, 32),
+        (0.9, 1, (1, 0), 0.5),
+        (0.0, 2, (0, 0), 0.5),
     ])
-    def test_matches_einsum_assembly(self, charge, cap, transverse, rho,
-                                     x3_nodes, monkeypatch):
+    def test_matches_einsum_assembly(self, charge, cap, transverse, rho):
         _, ctx, basis = galerkin_parts(charge, cap=cap)
         backend = StepBackend("galerkin", basis, ctx, transverse=transverse)
-        monkeypatch.setattr(propagator, "_X3_NODES", x3_nodes)
         matrix = _galerkin_matrix(backend, rho)
         rule = _longitudinal_rule(*longitudinal_data(backend, rho))
-        expected = einsum_galerkin_matrix(backend, rho, rule, x3_nodes)
+        expected = einsum_galerkin_matrix(backend, rho, rule,
+                                          backend.x3_nodes)
         assert matrix.shape == expected.shape
         scale = np.abs(expected).max()
         assert np.abs(matrix - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("s3, cap, wave_cutoff, transverse", [
+        (1, 2, 3, (0, 0)),
+        (2, 2, 3, (0, 0)),
+        (1, 3, 4, (0, 0)),
+        (3, 1, 3, (0, 0)),
+        # eta != 0: the two polarization blocks differ
+        (1, 2, 3, (1, 0)),
+    ])
+    def test_x3_rule_is_exact_at_the_integrand_bandwidth(
+            self, s3, cap, wave_cutoff, transverse):
+        """The x3 integrand is a trigonometric polynomial of degree
+        8 s3 cap + 2 wave_cutoff: one node more is exact, one fewer is not."""
+        _, ctx, basis = galerkin_parts(20.0, cap=cap, s3=s3)
+        backend = StepBackend("galerkin", basis, ctx, wave_cutoff=wave_cutoff,
+                              transverse=transverse)
+        rho = 0.125 if cap == 3 else 0.25
+        n = 8 * s3 * cap + 2 * wave_cutoff + 1
+        rule = _longitudinal_rule(*longitudinal_data(backend, rho))
+        exact = einsum_galerkin_matrix(backend, rho, rule, 2 * n + 1)
+        scale = np.abs(exact).max()
+        matrix = _galerkin_matrix(backend, rho)
+        assert np.abs(matrix - exact).max() <= 1e-13 * scale
+        short = einsum_galerkin_matrix(backend, rho, rule, n - 1)
+        assert np.abs(short - exact).max() > 1e-6 * scale
 
     def test_step_cache_follows_knobs(self):
         """Two steps on one basis and context, apart only in their knobs,
@@ -948,8 +972,7 @@ class TestFilonRule:
         _, ctx, basis = galerkin_parts(0.9)
         backend = StepBackend("galerkin", basis, ctx)
         rule = trapezoid_longitudinal_rule(*longitudinal_data(backend, 0.5))
-        expected = einsum_galerkin_matrix(backend, 0.5, rule, x3_nodes=4)
-        monkeypatch.setattr(propagator, "_X3_NODES", 4)
+        expected = einsum_galerkin_matrix(backend, 0.5, rule, backend.x3_nodes)
         monkeypatch.setattr(propagator, "_longitudinal_rule",
                             trapezoid_longitudinal_rule)
         matrix = _galerkin_matrix(backend, 0.5)
