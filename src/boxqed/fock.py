@@ -10,7 +10,7 @@ by quadrature in the test suite instead of being used as the representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

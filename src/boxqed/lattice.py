@@ -282,9 +282,6 @@ class PolarizationFrame:
     def e(self, wv: WaveVector) -> tuple[np.ndarray, np.ndarray]:
         return self._vectors[wv.s]
 
-    def covers(self, modes: ModeSet) -> bool:
-        return all(wv.s in self._vectors for wv in modes.lam)
-
 
 def _reference_frame(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     khat = k / np.linalg.norm(k)

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .action import Subdivision, adaptive_gauss_legendre, segment_action
+from .action import Subdivision, segment_action
 from .coulomb import v1_gradient
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .field import FieldVector, ModelContext, v2_gradient
@@ -44,6 +44,7 @@ from .fock import (
     h_rad,
 )
 from .lattice import SimulationConfig
+from .quadrature import adaptive_gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,9 +360,9 @@ class GalerkinStep(_Step):
     The coupling mode points along the third axis; the particle lives on the
     z-line plane waves |m3| <= ``wave_cutoff`` at the fixed ``transverse``
     wave numbers.  The oscillatory longitudinal displacement integral is a
-    Filon rule of about 96 nodes at every step size, and the periodic x3
-    coordinate an exact trapezoid rule of ``x3_nodes``; ``_GALERKIN_BUDGET``
-    caps the node count of either.
+    Filon rule, 96 nodes while k3 s_f stays below about 1 and more beyond,
+    and the periodic x3 coordinate an exact trapezoid rule of ``x3_nodes``;
+    ``_GALERKIN_BUDGET`` caps the node count of either.
     """
 
     wave_cutoff: int = 3
@@ -1036,10 +1037,10 @@ def _longitudinal_rule(scale: float, beta: np.ndarray):
     node's Lagrange basis is integrated against the chirp exactly, by a
     scalar Gauss-Legendre rule fine enough for the phase.  The end panels'
     interpolants also carry the tails beyond the outer edges in closed form
-    by integration by parts.  Only the smooth factor sets the node count, so
-    it stays near 96 however small the step makes scale.  The scalar rule
-    grows like (1 / scale)^2 and raises ``BudgetError`` past
-    ``_GALERKIN_BUDGET`` nodes.
+    by integration by parts.  Only the smooth factor sets the node count: 96
+    at every scale below about 1, more once the tails reach past kappa = 12
+    (128 at scale 1.41, 192 at 2.12).  The scalar rule grows like
+    (1 / scale)^2 and raises ``BudgetError`` past ``_GALERKIN_BUDGET`` nodes.
     """
     beta = np.asarray(beta, dtype=float)
     beta_max = float(np.max(np.abs(beta)))
@@ -1101,15 +1102,14 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     Transverse endpoint integrals are exact Gaussians, each polarization
     block is the four-variable ``_gaussian_tables`` per node, and the
     remaining periodic x3 integral is a trapezoid rule of
-    ``backend.x3_nodes`` nodes.  The oscillatory
-    longitudinal integral, over zeta = w3 / s_f against
-    exp(i (zeta^2 - beta_q zeta)), is the Filon rule of
-    ``_longitudinal_rule``: its nodes sit on panels fixed in
-    kappa = k3 s_f zeta, where the smooth factor lives, and the chirp is in
-    the weights, so the node count stays near 96 instead of growing like
-    1 / rho.  The kappa -> infinity limit of the integrand (``pair_base``)
-    is split off and integrated in closed form, so the vanishing-coupling
-    case reproduces the analytic backend exactly.
+    ``backend.x3_nodes`` nodes.  The oscillatory longitudinal integral, over
+    zeta = w3 / s_f against exp(i (zeta^2 - beta_q zeta)), is the Filon rule
+    of ``_longitudinal_rule``: its nodes sit on panels fixed in kappa = k3 s_f
+    zeta, where the smooth factor lives, and the chirp is in the weights, so
+    the node count does not grow like 1 / rho.  It is 96 while k3 s_f stays
+    below about 1, and more beyond.  The kappa -> infinity limit of the
+    integrand (``pair_base``) is split off and integrated in closed form, so
+    the vanishing-coupling case reproduces the analytic backend exactly.
 
     That rule is exact: it integrates trigonometric polynomials of degree
     below its node count exactly (Trefethen and Weideman, SIAM Rev. 56

@@ -15,7 +15,6 @@ from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 from scipy.special import erf, erfc, erfcx
 
-from boxqed.action import adaptive_gauss_legendre
 from boxqed.coulomb import v1_gradient
 from boxqed.errors import BudgetError, ConfigError
 from boxqed.field import FieldVector, extend_parity, tilde_A_with_derivatives, v2_gradient
@@ -24,6 +23,7 @@ from boxqed.propagator import (
     _earlier_integrand,
     _interp_coeffs,
 )
+from boxqed.quadrature import adaptive_gauss_legendre
 
 
 def complex_field_sum(x, a, modes, frame, config):

@@ -12,7 +12,6 @@ from boxqed import ModeSet, SimulationConfig
 from boxqed.action import (
     BrokenPath,
     Subdivision,
-    adaptive_gauss_legendre,
     broken_action,
     constraint_identity_check,
     external_field_terms,
@@ -23,6 +22,7 @@ from boxqed.action import (
 from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 from boxqed.field import FieldVector, ModelContext, potential_V2
 from boxqed.coulomb import potential_V1
+from boxqed.quadrature import adaptive_gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import fft, integrate
 from scipy.special import erf
@@ -17,7 +17,6 @@ from scipy.special import erf
 from boxqed import SimulationConfig, build_mode_set, coulomb
 from boxqed.coulomb import (
     LatticeSummand,
-    continuum_coulomb_oracle,
     inverse_quartic_summand,
     mollified_coulomb,
     potential_V1,
@@ -167,16 +166,24 @@ class TestLatticeSummand:
         with pytest.raises(InvariantViolation, match="tail"):
             coulomb._tail_integral(bad.bound_fn, np.full(3, 10.0), 5.0)
 
-    def test_tail_bound_carries_the_quadrature_error(self):
-        box = np.full(3, 15.0)
+    @pytest.mark.parametrize("summand, box, radius, expected", [
+        (inverse_quartic_summand(), (15.0, 15.0, 15.0), 10.0, 1.403),
+        # the (16, 4, 4) riemann row: a tail near 5.064e-47, far below the
+        # driver's 1e-30 scale floor
+        (screened_inverse_square_summand(), (16.0, 4.0, 4.0), 4.0 * math.pi,
+         5.064e-47),
+    ], ids=["inverse-quartic", "screened-gaussian"])
+    def test_tail_bound_lies_just_above_the_quad_oracle(
+            self, summand, box, radius, expected):
+        box = np.array(box)
         diag = coulomb._cell_diagonal(box)
-        summand = inverse_quartic_summand()
-        value, error = integrate.quad(
+        value, _ = integrate.quad(
             lambda v: (v + 0.5 * diag) ** 2 * summand.bound_fn(v),
-            10.0 - diag, np.inf, limit=200)
-        assert error > 0.0
-        assert coulomb._tail_integral(summand.bound_fn, box, 10.0) \
-            == 4.0 * math.pi * (value + error)
+            radius - diag, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+        oracle = 4.0 * math.pi * value
+        assert oracle == pytest.approx(expected, rel=1e-3)
+        bound = coulomb._tail_integral(summand.bound_fn, box, radius)
+        assert oracle <= bound <= oracle * (1.0 + 1e-8)
 
     def test_increasing_bound_rejected(self):
         bad = LatticeSummand(
@@ -405,14 +412,17 @@ class TestThreeSquaresTable:
         assert n_points == points
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        code = "import sys, boxqed; print('scipy.signal' in sys.modules)"
+        heavy = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.fft")
         src = str(Path(coulomb.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             part for part in (src, env.get("PYTHONPATH")) if part)
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             env=env, capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        for module in ("boxqed", "boxqed.cli"):
+            code = (f"import sys, {module}; "
+                    f"print([m for m in {heavy!r} if m in sys.modules])")
+            out = subprocess.run([sys.executable, "-c", code], check=True,
+                                 env=env, capture_output=True, text=True)
+            assert out.stdout.strip() == "[]", module
 
 
 class TestEwaldOracle:
@@ -612,6 +622,9 @@ class TestGaussianSplit:
 
     @settings(max_examples=60, deadline=None)
     @given(charge_clouds(), st.floats(1.2, 2.0))
+    # a charge near 1e-301 puts the tail majorants among subnormal numbers
+    @example((np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+              [1.0, 8.091768219640728e-302], np.full(3, 2.0), 1.0), 2.0)
     def test_split_width_drops_out(self, cloud, stretch):
         positions, charges, box, eps = cloud
         D, w = _pairs(positions, charges)
@@ -653,17 +666,6 @@ class TestGaussianSplit:
                                            - math.exp(-(width * k) ** 2))
                 * math.sin(k * radius) / (k * radius), 0.0, 10.0, limit=200)
             assert value == pytest.approx(direct, rel=1e-9, abs=1e-14)
-
-
-class TestContinuumOracle:
-    def test_values(self):
-        assert continuum_coulomb_oracle((1.0, 0.0, 0.0)) == 0.5
-        assert continuum_coulomb_oracle((0.0, 2.0, 0.0)) == 0.25
-        assert continuum_coulomb_oracle((0.1, 0.0, 0.0)) == pytest.approx(5.0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            continuum_coulomb_oracle((0.0, 0.0, 0.0))
 
 
 def test_richardson_limit_kills_linear_error():
