@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import erf
@@ -54,19 +55,17 @@ from .propagator import (
 )
 
 
-def _floats(text):
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _list(convert, may_be_empty=False):
+    """A parser of comma lists of ``convert``-ed values."""
+    def parse(text):
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        if not (values or may_be_empty):
+            raise ValueError("needs at least one value")
+        return values
+    return parse
 
 
-def _ints(text):
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _listed(values, flag):
-    """The values parsed from ``flag``, which a study needs at least one of."""
-    if not values:
-        raise ConfigError(f"{flag} needs at least one value")
-    return values
+_floats, _ints = _list(float), _list(int)
 
 
 def _fmt(value):
@@ -191,26 +190,14 @@ def _run_action_eval(params, config, seed):
         "samples": len(rows)}
 
 
-def _propagate_backend(params, config):
+def _run_propagate(params, config, seed):
     modes = _mode_set(params["mode"], config)
     empty = _empty_modes(config)
     basis = OscillatorBasis.from_config(config, modes, params["cap"])
-    if params["backend"] == "galerkin":
-        ctx = ModelContext.custom(config, empty, modes, modes)
-        return StepBackend("galerkin", basis, ctx), basis, ctx
-    if config.n_particles != 0:
-        raise ConfigError(
-            "the analytic-quadratic propagate study is field-only; set "
-            "n_particles = 0 or choose the galerkin backend"
-        )
-    ctx = ModelContext.custom(config, empty, empty, modes)
-    return StepBackend("analytic-quadratic", basis, ctx), basis, ctx
-
-
-def _run_propagate(params, config, seed):
-    backend, basis, ctx = _propagate_backend(params, config)
     horizon = params["horizon"]
     if params["backend"] == "galerkin":
+        ctx = ModelContext.custom(config, empty, modes, modes)
+        backend = StepBackend("galerkin", basis, ctx)
         start = np.zeros(backend.state_dim, dtype=complex)
         start[backend.wave_cutoff] = 1.0    # field vacuum, zero momentum
         f = StateVector(start)
@@ -219,8 +206,15 @@ def _run_propagate(params, config, seed):
         hamiltonian = assemble_hamiltonian(config, basis,
                                            particle_rep="planewave", ctx=ctx,
                                            wave_indices=waves)
-        reference = reference_evolve(hamiltonian, f, horizon)
+        reference = reference_evolve(hamiltonian, f, horizon, config.hbar)
     else:
+        if config.n_particles != 0:
+            raise ConfigError(
+                "the analytic-quadratic propagate study is field-only; set "
+                "n_particles = 0 or choose the galerkin backend"
+            )
+        ctx = ModelContext.custom(config, empty, empty, modes)
+        backend = StepBackend("analytic-quadratic", basis, ctx)
         f = _field_state(basis, seed)
         reference = _exact_spectrum_reference(basis, f, horizon, config.hbar)
     study = convergence_study(f, backend, horizon, params["segments"],
@@ -234,9 +228,6 @@ def _run_propagate(params, config, seed):
 
 
 def _run_residual(params, config, seed):
-    if config.n_particles != 0:
-        raise ConfigError("the residual study runs on field-only "
-                          "configurations; set n_particles = 0")
     modes = _mode_set(params["mode"], config)
     empty = _empty_modes(config)
     basis = OscillatorBasis.from_config(config, modes, params["cap"])
@@ -285,24 +276,11 @@ def _run_g_equivalence(params, config, seed):
         "extrapolated_deviation": deviation}
 
 
-_HANDLERS = {
-    "modes": _run_modes,
-    "coulomb-limit": _run_coulomb_limit,
-    "riemann": _run_riemann,
-    "fock-spectrum": _run_fock_spectrum,
-    "action-eval": _run_action_eval,
-    "propagate": _run_propagate,
-    "residual": _run_residual,
-    "rho-star": _run_rho_star,
-    "g-equivalence": _run_g_equivalence,
-}
-
-
 def _execute(subcommand, params, config, out_dir, seed):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    tables, summary = _HANDLERS[subcommand](params, config, seed)
+    tables, summary = _SUBCOMMANDS[subcommand][0](params, config, seed)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
     manifest = {
@@ -329,22 +307,21 @@ def _run_rerun(args):
     for key in ("subcommand", "config", "params", "outputs", "seed"):
         if key not in recorded:
             raise ConfigError(f"manifest lacks the {key!r} field")
-    if recorded["subcommand"] not in _HANDLERS:
+    if recorded["subcommand"] not in _SUBCOMMANDS:
         raise ConfigError(
             f"manifest names unknown subcommand {recorded['subcommand']!r}")
     config = SimulationConfig.from_mapping(recorded["config"])
     manifest = _execute(recorded["subcommand"], recorded["params"], config,
                         args.out, recorded["seed"])
+    # a missing output reads as None, so it counts as mismatched
     mismatched = [
         name for name, digest in recorded["outputs"].items()
         if manifest["outputs"].get(name) != digest
     ]
-    missing = [name for name in recorded["outputs"]
-               if name not in manifest["outputs"]]
-    if mismatched or missing:
+    if mismatched:
         raise InvariantViolation(
             "rerun outputs differ from the manifest: "
-            + ", ".join(sorted(set(mismatched + missing)))
+            + ", ".join(sorted(mismatched))
         )
     print(f"rerun of {recorded['subcommand']!r} reproduced "
           f"{len(recorded['outputs'])} file(s) byte-identically in {args.out}")
@@ -352,14 +329,81 @@ def _run_rerun(args):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# The subcommand table, name -> (handler, help, study flags), which the
+# parser, the params and the dispatch all read
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None,
-                     help="plain-text key = value configuration file")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, default=0)
+class _Flag(NamedTuple):
+    """A study flag ``--dest``: its text parsed, else its default used.
+
+    ``default`` is a value, or a function of the params parsed before it.
+    """
+
+    dest: str
+    parse: Callable[[str], object]
+    default: object
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+
+
+def _by_backend(analytic, galerkin):
+    """A propagate default that depends on the parsed ``--backend``."""
+    return lambda params: galerkin if params["backend"] == "galerkin" \
+        else analytic
+
+
+_MODE = _Flag("mode", _ints, (0, 0, 1))
+
+_SUBCOMMANDS = {
+    "modes": (
+        _run_modes, "tabulate the halved mode lattice and its frame", ()),
+    "coulomb-limit": (
+        _run_coulomb_limit, "mollified lattice Coulomb sums vs erf targets",
+        (_Flag("separation", _floats, (0.0, 0.0, 1.0)),
+         _Flag("eps_levels", _floats, (0.5, 0.25)),
+         _Flag("box_levels", _floats, (20.0, 40.0)))),
+    "riemann": (
+        _run_riemann, "lattice sums vs integrals, cube and anisotropic",
+        (_Flag("box_levels", _floats, (15.0, 30.0, 60.0)),
+         _Flag("anisotropic_ells", _list(int, may_be_empty=True),
+               (4, 8, 16)))),
+    "fock-spectrum": (
+        _run_fock_spectrum, "free-field energies with multiplicities",
+        (_MODE._replace(help="integer s-triple of the single mode"),
+         _Flag("cap", int, 2))),
+    "action-eval": (
+        _run_action_eval, "segment actions at seeded random endpoints",
+        (_Flag("samples", int, 5), _Flag("t", float, 0.5),
+         _Flag("s", float, 0.0))),
+    "propagate": (
+        _run_propagate, "composed-step convergence study",
+        (_Flag("backend", str, "analytic-quadratic",
+               choices=("analytic-quadratic", "galerkin")),
+         _MODE,
+         _Flag("cap", int, _by_backend(4, 2),
+               "occupation cap (default 4, galerkin 2)"),
+         _Flag("horizon", float, _by_backend(math.pi / 2.0, 0.5),
+               "default pi/2, galerkin 0.5"),
+         _Flag("segments", _ints,
+               _by_backend((4, 8, 16, 32, 64), (1, 2, 4, 8)),
+               "default 4,8,16,32,64; galerkin 1,2,4,8"))),
+    "residual": (
+        _run_residual, "generator residuals of single steps",
+        (_MODE, _Flag("cap", int, 4),
+         _Flag("rho_list", _floats, tuple(2.0**-k for k in range(3, 10))),
+         _Flag("dt_factor", float, 0.125))),
+    "rho-star": (
+        _run_rho_star, "largest step with sampled Jacobian dets >= 1/2",
+        (_MODE, _Flag("sample_budget", int, 3), _Flag("bisect_iters", int, 6),
+         _Flag("ceiling", float, 1.0))),
+    "g-equivalence": (
+        _run_g_equivalence, "offset-damped step vs the plain step",
+        (_MODE, _Flag("cap", int, 4), _Flag("t", float, 0.5))),
+}
+
+
+def _option(dest):
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser():
@@ -370,131 +414,40 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"boxqed {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    _add_common(subs.add_parser(
-        "modes", help="tabulate the halved mode lattice and its frame"))
-
-    coulomb = subs.add_parser(
-        "coulomb-limit", help="mollified lattice Coulomb sums vs erf targets")
-    _add_common(coulomb)
-    coulomb.add_argument("--separation", default="0,0,1")
-    coulomb.add_argument("--eps-levels", default="0.5,0.25")
-    coulomb.add_argument("--box-levels", default="20,40")
-
-    riemann = subs.add_parser(
-        "riemann", help="lattice sums vs integrals, cube and anisotropic")
-    _add_common(riemann)
-    riemann.add_argument("--box-levels", default="15,30,60")
-    riemann.add_argument("--anisotropic-ells", default="4,8,16")
-
-    fock = subs.add_parser(
-        "fock-spectrum", help="free-field energies with multiplicities")
-    _add_common(fock)
-    fock.add_argument("--mode", default="0,0,1",
-                      help="integer s-triple of the single mode")
-    fock.add_argument("--cap", type=int, default=2)
-
-    action = subs.add_parser(
-        "action-eval", help="segment actions at seeded random endpoints")
-    _add_common(action)
-    action.add_argument("--samples", type=int, default=5)
-    action.add_argument("--t", type=float, default=0.5)
-    action.add_argument("--s", type=float, default=0.0)
-
-    propagate = subs.add_parser(
-        "propagate", help="composed-step convergence study")
-    _add_common(propagate)
-    propagate.add_argument("--backend", default="analytic-quadratic",
-                           choices=["analytic-quadratic", "galerkin"])
-    propagate.add_argument("--mode", default="0,0,1")
-    propagate.add_argument("--cap", type=int, default=None,
-                           help="occupation cap (default 4, galerkin 2)")
-    propagate.add_argument("--horizon", type=float, default=None,
-                           help="default pi/2, galerkin 0.5")
-    propagate.add_argument("--segments", default=None,
-                           help="default 4,8,16,32,64; galerkin 1,2,4,8")
-
-    residual = subs.add_parser(
-        "residual", help="generator residuals of single steps")
-    _add_common(residual)
-    residual.add_argument("--mode", default="0,0,1")
-    residual.add_argument("--cap", type=int, default=4)
-    residual.add_argument("--rho-list",
-                          default=",".join(_fmt(2.0**-k) for k in range(3, 10)))
-    residual.add_argument("--dt-factor", type=float, default=0.125)
-
-    rho_star = subs.add_parser(
-        "rho-star", help="largest step with sampled Jacobian dets >= 1/2")
-    _add_common(rho_star)
-    rho_star.add_argument("--mode", default="0,0,1")
-    rho_star.add_argument("--sample-budget", type=int, default=3)
-    rho_star.add_argument("--bisect-iters", type=int, default=6)
-    rho_star.add_argument("--ceiling", type=float, default=1.0)
-
-    geq = subs.add_parser(
-        "g-equivalence", help="offset-damped step vs the plain step")
-    _add_common(geq)
-    geq.add_argument("--mode", default="0,0,1")
-    geq.add_argument("--cap", type=int, default=4)
-    geq.add_argument("--t", type=float, default=0.5)
-
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", default=None,
+                         help="plain-text key = value configuration file")
+        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument("--seed", type=int, default=0)
+        for flag in flags:
+            sub.add_argument(_option(flag.dest), help=flag.help,
+                             choices=flag.choices)
     rerun = subs.add_parser(
         "rerun", help="re-execute a manifest and verify identical bytes")
     rerun.add_argument("--manifest", required=True)
     rerun.add_argument("--out", required=True)
-
     return parser
 
 
 def _params_from_args(args):
-    name = args.subcommand
-    if name == "modes":
-        return {}
-    if name == "coulomb-limit":
-        return {
-            "separation": _floats(args.separation),
-            "eps_levels": _listed(_floats(args.eps_levels), "--eps-levels"),
-            "box_levels": _listed(_floats(args.box_levels), "--box-levels"),
-        }
-    if name == "riemann":
-        return {
-            "box_levels": _listed(_floats(args.box_levels), "--box-levels"),
-            "anisotropic_ells": _ints(args.anisotropic_ells),
-        }
-    if name == "fock-spectrum":
-        return {"mode": _ints(args.mode), "cap": args.cap}
-    if name == "action-eval":
-        return {"samples": args.samples, "t": args.t, "s": args.s}
-    if name == "propagate":
-        galerkin = args.backend == "galerkin"
-        segments = [1, 2, 4, 8] if galerkin else [4, 8, 16, 32, 64]
-        if args.segments:
-            segments = _listed(_ints(args.segments), "--segments")
-        return {
-            "backend": args.backend,
-            "mode": _ints(args.mode),
-            "cap": args.cap if args.cap is not None else (2 if galerkin else 4),
-            "horizon": args.horizon if args.horizon is not None
-            else (0.5 if galerkin else math.pi / 2.0),
-            "segments": segments,
-        }
-    if name == "residual":
-        return {
-            "mode": _ints(args.mode),
-            "cap": args.cap,
-            "rho_list": _listed(_floats(args.rho_list), "--rho-list"),
-            "dt_factor": args.dt_factor,
-        }
-    if name == "rho-star":
-        return {
-            "mode": _ints(args.mode),
-            "sample_budget": args.sample_budget,
-            "bisect_iters": args.bisect_iters,
-            "ceiling": args.ceiling,
-        }
-    if name == "g-equivalence":
-        return {"mode": _ints(args.mode), "cap": args.cap, "t": args.t}
-    raise ConfigError(f"unknown subcommand {name!r}")
+    """The study params: each flag's text parsed, else its default.
+
+    Parsing waits until after ``parse_args`` so that a malformed or empty
+    value exits through ``ConfigError`` like any other configuration error.
+    """
+    params = {}
+    for flag in _SUBCOMMANDS[args.subcommand][2]:
+        text = getattr(args, flag.dest)
+        if text is None:
+            params[flag.dest] = flag.default(params) \
+                if callable(flag.default) else flag.default
+            continue
+        try:
+            params[flag.dest] = flag.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{_option(flag.dest)} {exc}") from exc
+    return params
 
 
 def main(argv=None) -> int:

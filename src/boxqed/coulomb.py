@@ -27,6 +27,9 @@ PI_SQ = math.pi ** 2
 # allocated.
 _POINT_BUDGET = int(2e8)
 
+# Lattice points per slab of one enumeration, which bounds its temporaries.
+_SLAB_CHUNK = 262144
+
 # Tail quadrature tolerance, by which each certificate is raised.
 _TAIL_TOL = 2e-9
 
@@ -146,8 +149,8 @@ def _tail_integral(bound_fn, box: np.ndarray, radius: float) -> float:
         "a lattice tail")
 
 
-def _slab_contributions(box: np.ndarray, radius: float, eval_fn,
-                        chunk: int = 262144) -> tuple[np.ndarray, int]:
+def _slab_contributions(box: np.ndarray, radius: float,
+                        eval_fn) -> tuple[np.ndarray, int]:
     """Evaluate eval_fn on every nonzero lattice point with |k| <= radius.
 
     Enumerates integer triples in slabs along s1 so memory stays flat; returns
@@ -167,7 +170,7 @@ def _slab_contributions(box: np.ndarray, radius: float, eval_fn,
     K23 = np.stack(np.meshgrid(steps[1] * s2, steps[2] * s3, indexing="ij"),
                    axis=-1).reshape(-1, 2)
     plane = K23.shape[0]
-    per_slab = max(1, chunk // max(plane, 1))
+    per_slab = max(1, _SLAB_CHUNK // max(plane, 1))
     pieces = []
     kept = 0
     s1_all = np.arange(-smax[0], smax[0] + 1)

@@ -24,6 +24,9 @@ from .lattice import ModeSet, SimulationConfig, WaveVector
 
 _MAX_DIM = 600_000
 
+# Gauss-Hermite nodes of the psi(a) matrix elements between capped levels.
+_PSI_HERMITE_ORDER = 80
+
 
 @dataclass(frozen=True)
 class OscillatorBasis:
@@ -281,12 +284,11 @@ def h_rad(basis: OscillatorBasis) -> OperatorMatrix:
                           hermitian=True)
 
 
-def _psi_variable_matrix(basis: OscillatorBasis, var: int, psi,
-                         order: int = 80) -> np.ndarray:
+def _psi_variable_matrix(basis: OscillatorBasis, var: int, psi) -> np.ndarray:
     """Matrix of the multiplication operator psi(a) on one variable's levels."""
     lam = basis.lambdas()[var]
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    levels = np.zeros((basis.cap + 1, order))
+    nodes, weights = np.polynomial.hermite.hermgauss(_PSI_HERMITE_ORDER)
+    levels = np.zeros((basis.cap + 1, _PSI_HERMITE_ORDER))
     levels[0] = math.pi ** -0.25
     if basis.cap >= 1:
         levels[1] = math.sqrt(2.0) * nodes * levels[0]

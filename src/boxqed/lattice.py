@@ -18,9 +18,15 @@ from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
+# Each configuration key with the SimulationConfig field it sets and, for the
+# box lengths and cutoffs, its index in that field's triple.
 _CONFIG_KEYS = {
-    "L1", "L2", "L3", "M1", "M2", "M3", "hbar", "c", "n_particles",
-    "masses", "charges", "sigma_psi", "width_g",
+    "L1": ("L", 0), "L2": ("L", 1), "L3": ("L", 2),
+    "M1": ("M", 0), "M2": ("M", 1), "M3": ("M", 2),
+    "hbar": ("hbar", None), "c": ("c_light", None),
+    "n_particles": ("n_particles", None), "masses": ("masses", None),
+    "charges": ("charges", None), "sigma_psi": ("sigma_psi", None),
+    "width_g": ("width_g", None),
 }
 
 
@@ -107,55 +113,35 @@ class SimulationConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SimulationConfig":
-        defaults = cls()
+        """Read the ``_CONFIG_KEYS`` entries of ``raw``; others are ignored.
 
-        def _float(key, current):
-            return float(raw[key]) if key in raw else current
-
-        def _int(key, current):
-            return int(raw[key]) if key in raw else current
-
-        def _seq(key, current):
-            if key not in raw:
-                return current
-            text = str(raw[key]).strip()
-            if not text:
-                return ()
-            return tuple(float(tok) for tok in text.split(","))
-
+        A value takes its default's type; masses and charges are comma lists.
+        """
+        defaults, fields = cls(), {}
         try:
-            return cls(
-                L=(
-                    _float("L1", defaults.L[0]),
-                    _float("L2", defaults.L[1]),
-                    _float("L3", defaults.L[2]),
-                ),
-                M=(
-                    _int("M1", defaults.M[0]),
-                    _int("M2", defaults.M[1]),
-                    _int("M3", defaults.M[2]),
-                ),
-                hbar=_float("hbar", defaults.hbar),
-                c_light=_float("c", defaults.c_light),
-                n_particles=_int("n_particles", defaults.n_particles),
-                masses=_seq("masses", defaults.masses),
-                charges=_seq("charges", defaults.charges),
-                sigma_psi=_float("sigma_psi", defaults.sigma_psi),
-                width_g=_float("width_g", defaults.width_g),
-            )
+            for key, (name, index) in _CONFIG_KEYS.items():
+                value = defaults._key_value(key)
+                if key in raw and isinstance(value, tuple):
+                    text = str(raw[key]).strip()
+                    value = tuple(float(tok) for tok in text.split(",")) if text else ()
+                elif key in raw:
+                    value = type(value)(raw[key])
+                # the keys of a triple come in index order
+                fields[name] = value if index is None else fields.get(name, ()) + (value,)
+            return cls(**fields)
         except ValueError as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
 
+    def _key_value(self, key: str):
+        name, index = _CONFIG_KEYS[key]
+        value = getattr(self, name)
+        return value if index is None else value[index]
+
     def as_dict(self) -> dict:
-        return {
-            "L1": self.L[0], "L2": self.L[1], "L3": self.L[2],
-            "M1": self.M[0], "M2": self.M[1], "M3": self.M[2],
-            "hbar": self.hbar, "c": self.c_light,
-            "n_particles": self.n_particles,
-            "masses": ",".join("%.17g" % m for m in self.masses),
-            "charges": ",".join("%.17g" % e for e in self.charges),
-            "sigma_psi": self.sigma_psi, "width_g": self.width_g,
-        }
+        """The flat key = value form; masses and charges as comma lists."""
+        flat = {key: self._key_value(key) for key in _CONFIG_KEYS}
+        return {key: ",".join("%.17g" % v for v in value) if isinstance(value, tuple) else value
+                for key, value in flat.items()}
 
 
 @dataclass(frozen=True)

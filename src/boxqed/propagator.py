@@ -35,7 +35,6 @@ from .coulomb import v1_gradient
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .field import FieldVector, ModelContext, v2_gradient
 from .fock import (
-    OperatorMatrix,
     OscillatorBasis,
     StateVector,
     _check_basis_constants,
@@ -541,21 +540,18 @@ class ResidualStudy:
 
 
 def residual_study(f: StateVector, backend: _Step, rho_list,
-                   hamiltonian=None, dt_factor: float = 0.125) -> ResidualStudy:
+                   dt_factor: float = 0.125) -> ResidualStudy:
     """Norm of (i hbar D_t - H) C(rho, 0) f with a centered time difference.
 
-    The difference step is delta = dt_factor * rho.  Without an explicit
-    Hamiltonian the field generator is used, which requires a field-only
-    configuration.
+    The difference step is delta = dt_factor * rho.  H is the field
+    Hamiltonian, which requires a field-only configuration.
     """
     config = backend.ctx.config
-    if hamiltonian is None:
-        if config.n_particles:
-            raise ConfigError("pass the Hamiltonian explicitly when particles "
-                              "are present")
-        hamiltonian = h_rad(backend.basis)
-    H = hamiltonian.matrix if isinstance(hamiltonian, OperatorMatrix) \
-        else hamiltonian
+    if config.n_particles:
+        raise ConfigError("the residual study runs on field-only "
+                          "configurations, where H is the field Hamiltonian; "
+                          "set n_particles = 0")
+    H = h_rad(backend.basis).matrix
     hbar = config.hbar
     rows = []
     for rho in rho_list:

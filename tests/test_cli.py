@@ -1,11 +1,12 @@
 """Exit codes, CSV determinism, and manifest reruns of the study runner."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from boxqed.cli import main
+from boxqed.cli import _params_from_args, build_parser, main
 
 
 def run(argv):
@@ -23,6 +24,42 @@ class TestVersionAndParsing:
             run(["--version"])
         assert info.value.code == 0
         assert "boxqed 0.1.0" in capsys.readouterr().out
+
+
+MODE = [0, 0, 1]
+
+DEFAULT_PARAMS = {
+    "modes": {},
+    "coulomb-limit": {"separation": [0.0, 0.0, 1.0], "eps_levels": [0.5, 0.25],
+                      "box_levels": [20.0, 40.0]},
+    "riemann": {"box_levels": [15.0, 30.0, 60.0],
+                "anisotropic_ells": [4, 8, 16]},
+    "fock-spectrum": {"mode": MODE, "cap": 2},
+    "action-eval": {"samples": 5, "t": 0.5, "s": 0.0},
+    "propagate": {"backend": "analytic-quadratic", "mode": MODE, "cap": 4,
+                  "horizon": math.pi / 2.0, "segments": [4, 8, 16, 32, 64]},
+    "propagate --backend galerkin": {"backend": "galerkin", "mode": MODE,
+                                     "cap": 2, "horizon": 0.5,
+                                     "segments": [1, 2, 4, 8]},
+    "residual": {"mode": MODE, "cap": 4,
+                 "rho_list": [0.125, 0.0625, 0.03125, 0.015625, 0.0078125,
+                              0.00390625, 0.001953125],
+                 "dt_factor": 0.125},
+    "rho-star": {"mode": MODE, "sample_budget": 3, "bisect_iters": 6,
+                 "ceiling": 1.0},
+    "g-equivalence": {"mode": MODE, "cap": 4, "t": 0.5},
+}
+
+
+class TestDefaults:
+    # json text pins the types too: a float default parsed as the int 15
+    # would change the manifest bytes
+    @pytest.mark.parametrize("command", DEFAULT_PARAMS)
+    def test_default_params(self, tmp_path, command):
+        argv = command.split() + ["--out", str(tmp_path)]
+        params = _params_from_args(build_parser().parse_args(argv))
+        assert json.dumps(params, sort_keys=True) \
+            == json.dumps(DEFAULT_PARAMS[command], sort_keys=True)
 
 
 class TestFockSpectrum:
@@ -126,6 +163,19 @@ class TestExitCodes:
         assert code == 2
         assert "field-only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand,flag,value", [
+        ("fock-spectrum", "--cap", "x"),
+        ("propagate", "--horizon", "x"),
+        ("coulomb-limit", "--eps-levels", "0.5,a"),
+        ("riemann", "--anisotropic-ells", "1.5"),
+    ])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, subcommand,
+                                       flag, value):
+        out = tmp_path / "o"
+        assert run([subcommand, flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["particle_cap", "epsilon_reg", "n_max"])
     def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key):
         cfg = tmp_path / "old.cfg"
@@ -167,6 +217,17 @@ class TestStudyOutputs:
         lines = (tmp_path / "propagate.csv").read_text().strip().splitlines()
         assert lines[0] == "segments,relative_error"
         assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16"]
+
+    def test_galerkin_reference_evolves_with_hbar(self, tmp_path):
+        cfg = tmp_path / "coupled.cfg"
+        cfg.write_text("n_particles = 1\nmasses = 1.0\ncharges = 0.9\n"
+                       "sigma_psi = 1e6\nhbar = 2\n")
+        assert run(["propagate", "--backend", "galerkin", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 0
+        summary = read_manifest(tmp_path / "o")["summary"]
+        # a reference evolved with hbar = 1 gives orders 0.81, 0.59, 0.28
+        assert summary["monotone"] is True
+        assert min(summary["orders"]) >= 0.9
 
     def test_propagate_repeated_mesh_has_no_order(self, tmp_path):
         assert run(["propagate", "--segments", "4,4",
