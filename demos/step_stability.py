@@ -57,7 +57,8 @@ def main():
         print(f"  probe rho = {rho_probe:6.4f}: min det {min_det:8.4f}  "
               f"{'ok' if passed else 'rejected'}")
 
-    # composed norms never grow in the decoupled case; the fitted rate is 0
+    # composed norms never grow in the decoupled case, so the growth bound
+    # is not positive
     basis = OscillatorBasis(ONE_MODE, cap=4, volume=config.volume)
     backend = StepBackend("analytic-quadratic", basis, ctx)
     vec = rng.standard_normal(backend.state_dim) \
@@ -67,7 +68,7 @@ def main():
     _, norms = compose(state, sub, backend, collect_norms=True)
     rate = fit_growth_rate(sub.times[1:], norms)
     print(f"composed norms {norms[0]:.6f} -> {norms[-1]:.6f}, "
-          f"fitted growth rate {rate}")
+          f"growth bound {rate}")
 
 
 if __name__ == "__main__":

@@ -277,10 +277,11 @@ def _run_g_equivalence(params, config, seed):
 
 
 def _execute(subcommand, params, config, out_dir, seed):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     tables, summary = _SUBCOMMANDS[subcommand][0](params, config, seed)
+    # only a run its handler accepted leaves a directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
     manifest = {

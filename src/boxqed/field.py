@@ -293,14 +293,20 @@ def _mollified_potential(x, a_values, K, E, cols, mollifiers: MollifierPair,
     g_val = np.asarray(mollifiers.g(x), dtype=float)
     scale = (pref * g_val)[..., None]
 
+    # The (n, l) sums are GEMMs over 2 N2 rows: E as (2 N2, 3), and for the
+    # x gradient K (x) E as (2 N2, 9), so that osc[..., j, m] = d(raw_m)/dx_j
+    # at fixed g.
+    n_rows = 2 * len(K)
     weights = psi_vals[..., 0] * cos_kx + psi_vals[..., 1] * sin_kx
-    raw = np.einsum("...nl,nlm->...m", weights, E)         # before g and pref
+    raw = (weights.reshape(-1, n_rows) @ E.reshape(n_rows, 3)).reshape(
+        batch + (3,))                                      # before g and pref
     value = scale * raw
 
     grad_x = None
     if need_x:
         dweights = -psi_vals[..., 0] * sin_kx + psi_vals[..., 1] * cos_kx
-        osc = np.einsum("nj,...nl,nlm->...jm", K, dweights, E)  # d(raw_m)/dx_j at fixed g
+        k_e = (K[:, None, :, None] * E[:, :, None, :]).reshape(n_rows, 9)
+        osc = (dweights.reshape(-1, n_rows) @ k_e).reshape(batch + (3, 3))
         grad_x = pref * (mollifiers.g_grad(x)[..., :, None] * raw[..., None, :]
                          + g_val[..., None, None] * osc)
 
@@ -310,7 +316,8 @@ def _mollified_potential(x, a_values, K, E, cols, mollifiers: MollifierPair,
         psi_d = mollifiers.psi_prime(coeff)                # (..., N2, 2, 2)
         trig = np.concatenate([cos_kx, sin_kx], axis=-1)   # (..., N2, 2)
         per_var = psi_d * trig[..., None, :]               # (..., N2, 2, 2) for (k, l, i)
-        contrib = scale[..., None, None, None] * np.einsum("...nli,nlm->...mnli", per_var, E)
+        e_mnl = np.moveaxis(E, -1, 0)[..., None]            # (3, N2, 2, 1)
+        contrib = scale[..., None, None, None] * (per_var[..., None, :, :, :] * e_mnl)
         grad_a[..., cols.ravel()] = contrib.reshape(batch + (3, -1))
 
     return value, grad_x, grad_a

@@ -151,20 +151,23 @@ def _coeff_tables(lam_tilde: np.ndarray, mu: Optional[np.ndarray],
     + sum_j 2 lam_tilde_ij c_{alpha - e_i - e_j} fills every entry of one
     total degree in one vectorized step, from the two degrees below it.
     The rank n is the last axis of ``lam_tilde`` (batch, n, n); the shape
-    is (batch,) + (R,) * n.
+    is (batch,) + (R,) * n.  The batch is the fastest axis in memory, so
+    every gather copies whole rows and the result is a transposed view.
     """
     R = cap + 1
     batch, n = lam_tilde.shape[:2]
-    c = np.zeros((batch, R**n + 1), dtype=complex)
-    c[:, 0] = 1.0
+    lam2_t = np.multiply(2.0, np.moveaxis(lam_tilde, 0, -1), order="C")
+    mu_t = None if mu is None else np.ascontiguousarray(mu.T)
+    c = np.zeros((R**n + 1, batch), dtype=complex)
+    c[0] = 1.0
     for flat, first, reduced, pairs, divisor in _degree_gathers(R, n):
-        acc = np.zeros((batch, len(flat)), dtype=complex)
-        if mu is not None:
-            acc += mu[:, first] * c[:, reduced]
+        acc = np.zeros((len(flat), batch), dtype=complex)
+        if mu_t is not None:
+            acc += mu_t[first] * c[reduced]
         for j in range(n):
-            acc = acc + 2.0 * lam_tilde[:, first, j] * c[:, pairs[j]]
-        c[:, flat] = acc / divisor
-    return c[:, :R**n].reshape((batch,) + (R,) * n)
+            acc += lam2_t[first, j] * c[pairs[j]]
+        c[flat] = acc / divisor[:, None]
+    return np.moveaxis(c[:R**n].reshape((R,) * n + (batch,)), -1, 0)
 
 
 def _gaussian_tables(pair, n: int, cap: int, d_vecs: Optional[np.ndarray] = None,
@@ -265,6 +268,14 @@ _STEP_CACHE_CAP = 64
 # x3 nodes times the zeta nodes of one assembly.
 _GALERKIN_BUDGET = 400_000
 
+# x3 nodes whose blocks one galerkin table build covers, and the zeta nodes
+# per x3 node of one build.  The group's buffer of x3 partials is
+# _X3_GROUP / W of the accumulator, for W wave rows.
+_X3_GROUP = 4
+_ZETA_CHUNK = 512
+# Accumulator columns per GEMM of a group's x3 phase sum.
+_ACC_SLICE = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class _Step:
@@ -360,8 +371,9 @@ class GalerkinStep(_Step):
     z-line plane waves |m3| <= ``wave_cutoff`` at the fixed ``transverse``
     wave numbers.  The oscillatory longitudinal displacement integral is a
     Filon rule, 96 nodes while k3 s_f stays below about 1 and more beyond,
-    and the periodic x3 coordinate an exact trapezoid rule of ``x3_nodes``;
-    ``_GALERKIN_BUDGET`` caps the node count of either.
+    and the periodic x3 coordinate an exact trapezoid rule of ``x3_nodes``,
+    assembled ``_X3_GROUP`` nodes at a time; ``_GALERKIN_BUDGET`` caps the
+    node count of either.
     """
 
     wave_cutoff: int = 3
@@ -470,10 +482,11 @@ def compose(f: StateVector, subdivision: Subdivision, backend: _Step,
 
 
 def fit_growth_rate(times, norms) -> float:
-    """Growth constant K with exp(K t) bounding the composed norms.
+    """Smallest K with every norm at most n0 exp(K (t - t0)).
 
-    Least-squares slope of log norm against time, clipped at zero since the
-    bound only needs a nonnegative rate.
+    (t0, n0) is the first entry, so K is the largest log(n / n0) / (t - t0)
+    over the later ones, and the entry that sets it meets the bound.  K is
+    not clipped: it is negative when every later norm falls below n0.
     """
     t = np.asarray(times, dtype=float)
     n = np.asarray(norms, dtype=float)
@@ -481,8 +494,9 @@ def fit_growth_rate(times, norms) -> float:
         raise ConfigError("need matching times/norms with at least two entries")
     if np.any(n <= 0.0):
         raise ConfigError("norms must be positive to fit a growth rate")
-    slope = np.polyfit(t, np.log(n), 1)[0]
-    return max(0.0, float(slope))
+    if np.any(np.diff(t) <= 0.0):
+        raise ConfigError("times must increase to fit a growth rate")
+    return float(np.max(np.log(n[1:] / n[0]) / (t[1:] - t[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +511,14 @@ class ConvergenceStudy:
     orders: tuple            # observed order between consecutive rows
     monotone: bool
     final_error: float
-    growth_rate: Optional[float]   # fit on the finest mesh; None for one step
+    growth_rate: Optional[float]   # bound on the finest mesh; None for one step
 
 
 def convergence_study(f: StateVector, backend: _Step, horizon: float,
                       segment_counts, reference) -> ConvergenceStudy:
     """Compose over uniform meshes and compare against a reference state.
 
-    The composed norms of the finest mesh also give the growth constant of
+    The composed norms of the finest mesh also give the growth bound of
     ``fit_growth_rate``, which needs at least two steps.
     """
     ref = reference.coefficients if isinstance(reference, StateVector) \
@@ -999,6 +1013,29 @@ _FILON_TAIL_SLOPE = 16.0
 _CHIRP_STEP = 8.0
 _GL16 = np.polynomial.legendre.leggauss(_FILON_NODES)
 _GL24 = np.polynomial.legendre.leggauss(24)
+# Lagrange basis of the panel nodes in Legendre coefficients:
+# l_n(x) = sum_k basis[k, n] P_k(x), exact by Gauss-Legendre orthogonality.
+_FILON_BASIS = (np.arange(_FILON_NODES) + 0.5)[:, None] \
+    * np.polynomial.legendre.legvander(_GL16[0], _FILON_NODES - 1).T * _GL16[1]
+# Derivatives 0.._FILON_TAIL_TERMS - 1 of that basis at the panel edges x = +-1.
+_FILON_EDGE_DERIVS = {sign: np.stack([
+    np.polynomial.legendre.legval(sign, np.polynomial.legendre.legder(
+        _FILON_BASIS, j)) for j in range(_FILON_TAIL_TERMS)])
+    for sign in (1.0, -1.0)}
+
+
+@lru_cache(maxsize=64)
+def _chirp_subpanels(n_sub: int) -> tuple:
+    """Scalar nodes x in [-1, 1] of ``n_sub`` 24-node sub-panels, their
+    Gauss-Legendre weights and the panel's Lagrange basis at them."""
+    sub = np.linspace(-1.0, 1.0, n_sub + 1)
+    x = (0.5 * (sub[:-1] + sub[1:])[:, None]
+         + (1.0 / n_sub) * _GL24[0][None, :]).reshape(-1)
+    lagrange = np.polynomial.legendre.legvander(x, _FILON_NODES - 1) @ _FILON_BASIS
+    parts = (x, np.tile(_GL24[1], n_sub), lagrange)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def _tail_series(order: int) -> np.ndarray:
@@ -1053,21 +1090,11 @@ def _longitudinal_rule(scale: float, beta: np.ndarray):
         raise BudgetError(
             f"the galerkin chirp rule wants {len(_GL24[0]) * int(n_subs.sum())} "
             f"nodes, over the budget of {_GALERKIN_BUDGET}; take a larger step")
-    nodes, node_w = _GL16
-    # Lagrange basis of the panel nodes in Legendre coefficients:
-    # l_n(x) = sum_k basis[k, n] P_k(x), exact by Gauss-Legendre orthogonality.
-    vander = np.polynomial.legendre.legvander(nodes, _FILON_NODES - 1)
-    basis = (np.arange(_FILON_NODES) + 0.5)[:, None] * vander.T * node_w
-
     weights = []
     for center, n_sub in zip(centers, n_subs):
-        sub = np.linspace(-1.0, 1.0, n_sub + 1)
-        x = (0.5 * (sub[:-1] + sub[1:])[:, None]
-             + (1.0 / n_sub) * _GL24[0][None, :]).reshape(-1)
+        x, sub_w, lagrange = _chirp_subpanels(int(n_sub))
         z = center + half * x
-        chirp = np.exp(1j * (z * z - np.outer(beta, z))) \
-            * (half / n_sub * np.tile(_GL24[1], n_sub))
-        lagrange = np.polynomial.legendre.legvander(x, _FILON_NODES - 1) @ basis
+        chirp = np.exp(1j * (z * z - np.outer(beta, z))) * (half / n_sub * sub_w)
         weights.append(chirp @ lagrange)
     weights = np.concatenate(weights, axis=1)
 
@@ -1079,15 +1106,14 @@ def _longitudinal_rule(scale: float, beta: np.ndarray):
     for sign, cols in ((1.0, slice(-_FILON_NODES, None)),
                        (-1.0, slice(0, _FILON_NODES))):
         edge = sign * reach
-        derivs = np.stack([
-            np.polynomial.legendre.legval(sign, np.polynomial.legendre.legder(
-                basis, j)) / half**j for j in range(_FILON_TAIL_TERMS)])
+        derivs = np.stack([row / half**j for j, row
+                           in enumerate(_FILON_EDGE_DERIVS[sign])])
         r = 1.0 / (2.0 * edge - beta)
         coeffs = np.einsum("kj,wkj->wj", series,
                            r[:, None, None] ** powers[None])
         weights[:, cols] += (sign * 1j * np.exp(1j * (edge * edge - beta * edge))
                              * r)[:, None] * (coeffs @ derivs)
-    zeta = (centers[:, None] + half * nodes[None, :]).reshape(-1)
+    zeta = (centers[:, None] + half * _GL16[0][None, :]).reshape(-1)
     line = math.sqrt(math.pi) * np.exp(1j * (0.25 * math.pi - 0.25 * beta**2))
     return zeta, weights, line
 
@@ -1105,15 +1131,23 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
     the node count does not grow like 1 / rho.  It is 96 while k3 s_f stays
     below about 1, and more beyond.  The kappa -> infinity limit of the
     integrand (``pair_base``) is split off and integrated in closed form, so
-    the vanishing-coupling case reproduces the analytic backend exactly.
+    the vanishing-coupling case reproduces the analytic backend exactly; it
+    has no x3 dependence, so it lands on the diagonal wave blocks only.
 
-    That rule is exact: it integrates trigonometric polynomials of degree
+    The x3 rule is exact: it integrates trigonometric polynomials of degree
     below its node count exactly (Trefethen and Weideman, SIAM Rev. 56
-    (2014) 385), and x3 enters only as phases.  ``rotation = exp(2 pi i s3
-    x3)`` turns each (Re, Im) pair of ``d``, and B^-1, the Sherman-Morrison
+    (2014) 385), and x3 enters only as phases.  The rotation exp(2 pi i s3
+    x3) turns each (Re, Im) pair of ``d``, and B^-1, the Sherman-Morrison
     ratio and the ``eta`` scalar are invariant under that turn, so each
     polarization block has degree <= 4 s3 cap in x3.  The two blocks and
-    ``x_fac`` together have degree <= 8 s3 cap + 2 wave_cutoff.
+    the wave-row factor exp(2 pi i (m3_q - m3_p) x3) together have degree
+    <= 8 s3 cap + 2 wave_cutoff.
+
+    The x3 nodes go ``_X3_GROUP`` at a time.  One table build covers every
+    (x3 node, zeta node) pair of a group.  Each node's pair sums over zeta
+    are one GEMM, with the node's exp(2 pi i m3_q x3) folded into the Filon
+    weights of row q, and a GEMM with the conjugate phases of rows p adds
+    the group into the accumulator, one slice of its columns at a time.
     """
     ctx = backend.ctx
     config = ctx.config
@@ -1144,7 +1178,13 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
 
     # Longitudinal wave data.
     W = 2 * backend.wave_cutoff + 1
-    if 48 * W * W * R**8 > 2_000_000_000:
+    flat = R**4
+    group = min(_X3_GROUP, backend.x3_nodes)
+    # Three accumulators (it, its transposed copy and a spare), the group
+    # buffer of x3 partials and four tables of one group's zeta chunk.
+    peak = 16 * ((3 * W + group) * W * flat * flat
+                 + 4 * group * _ZETA_CHUNK * flat)
+    if peak > 2_000_000_000:
         raise BudgetError(
             f"galerkin accumulators for cap {cap} and wave cutoff "
             f"{backend.wave_cutoff} would exceed two gigabytes; shrink one"
@@ -1161,52 +1201,69 @@ def _galerkin_matrix(backend: GalerkinStep, rho: float) -> np.ndarray:
             f"over the budget of {_GALERKIN_BUDGET}"
         )
 
-    flat = R**4
     base = _gaussian_tables(pair, 4, cap).reshape(flat)
     pair_base = np.outer(base, base)
-
-    # Node data shared by every x3 node: endpoint averages and the W weight
-    # rows of each chunk.
-    chunk = 512
-    chunks = [(*_interp_coeffs(k3 * s_f * zeta[start:start + chunk]),
-               weights[:, start:start + chunk])
-              for start in range(0, len(zeta), chunk)]
-    weight_sum = weights.sum(axis=1)
+    c1, c2 = _interp_coeffs(k3 * s_f * zeta)
+    # Node j turns each (Re, Im) pair of d by its rotation and carries the
+    # Fourier factor exp(2 pi i (m3_q - m3_p) j / N) of wave rows (p, q):
+    # the q half is folded into the Filon weights, and the p half sums the
+    # nodes of a group by GEMM.  That GEMM also applies the trapezoid
+    # weight, the Filon normalization and the free transverse phase.
+    x3 = np.arange(x3_nodes)
+    rotations = np.exp(1j * TWO_PI * s3 * x3 / x3_nodes)
+    phases = np.exp(1j * TWO_PI * np.outer(m3, x3) / x3_nodes)   # (W, N)
+    normal = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)) \
+        / math.sqrt(math.pi)
+    scale = normal * np.exp(-1j * rho * float(p_perp @ p_perp)
+                            / (2.0 * m_p * hbar))
+    unphases = phases.conj() * (scale / x3_nodes)
 
     # acc[p, q] holds the block-0 (a,b,c,d) x block-1 (e,f,g,h) pair sum
     # weighted by wave row q and phased by the x3 Fourier factor of (p, q).
-    acc = np.zeros((W, W, flat, flat), dtype=complex)
+    acc = np.zeros((W, W, flat * flat), dtype=complex)
+    buffer = np.zeros((group, W, flat * flat), dtype=complex)
+    acc_2d = acc.reshape(W, -1)
     same_blocks = etas[0] == etas[1]
-    for j in range(x3_nodes):
-        rotation = np.exp(1j * TWO_PI * s3 * j / x3_nodes)
-        partial = -weight_sum[:, None, None] * pair_base
-        for c1, c2, weights in chunks:
-            ec1 = rotation * c1
-            ec2 = rotation * c2
+    for first in range(0, x3_nodes, group):
+        members = x3[first:first + group]
+        partials = buffer[:len(members)]
+        for start in range(0, len(zeta), _ZETA_CHUNK):
+            span = slice(start, start + _ZETA_CHUNK)
+            n_z = min(_ZETA_CHUNK, len(zeta) - start)
+            ec1 = np.outer(rotations[members], c1[span]).reshape(-1)
+            ec2 = np.outer(rotations[members], c2[span]).reshape(-1)
             d = np.stack([ec1.real, ec1.imag, ec2.real, ec2.imag], axis=1)
+            # batch-fastest tables: block0.T is C-contiguous
             block0 = _gaussian_tables(pair, 4, cap, d, coupling,
                                       etas[0]).reshape(len(d), flat)
             block1 = block0 if same_blocks else _gaussian_tables(
                 pair, 4, cap, d, coupling, etas[1]).reshape(len(d), flat)
-            # C order keeps the reshape below a view: one GEMM per chunk
-            weighted = np.multiply(weights[:, None, :], block0.T, order="C")
-            partial += (weighted.reshape(W * flat, -1) @ block1).reshape(
-                W, flat, flat)
-        x_fac = np.exp(1j * TWO_PI * (m3[None, :] - m3[:, None])
-                       * j / x3_nodes)
-        for p in range(W):
-            acc[p] += x_fac[p][:, None, None] * partial
+            for i, j in enumerate(members):
+                rows = slice(i * n_z, (i + 1) * n_z)
+                node_w = weights[:, span] * phases[:, j, None]
+                # C order keeps the reshape below a view: one GEMM per node
+                weighted = np.multiply(node_w[:, None, :], block0[rows].T,
+                                       order="C").reshape(W * flat, n_z)
+                if start == 0:
+                    np.matmul(weighted, block1[rows],
+                              out=partials[i].reshape(W * flat, flat))
+                else:
+                    partials[i] += (weighted @ block1[rows]).reshape(W, -1)
+        # Column slices keep the GEMM's temporary far below the size of acc.
+        group_2d = partials.reshape(len(members), -1)
+        for col in range(0, W * flat * flat, _ACC_SLICE):
+            cols = slice(col, col + _ACC_SLICE)
+            acc_2d[:, cols] += unphases[:, members] @ group_2d[:, cols]
+    # Views of the buffer would keep it alive through the transpose.
+    del buffer, partials, group_2d, block0, block1, weighted
 
-    # The weights integrate f - pair_base; pair_base itself integrates in
-    # closed form, so the uncoupled step is exact.
-    normal = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)) \
-        / math.sqrt(math.pi)
-    free = normal * line
-    acc *= normal / x3_nodes
+    # The weights integrate f - pair_base.  pair_base has no x3 dependence,
+    # so its x3 sum is N delta_pq, and on the line it integrates in closed
+    # form, so the uncoupled step is exact.
+    diagonal = scale * (line - weights.sum(axis=1))
     for q in range(W):
-        acc[q, q] += free[q] * pair_base
+        acc[q, q] += diagonal[q] * pair_base.reshape(-1)
 
-    acc *= np.exp(-1j * rho * float(p_perp @ p_perp) / (2.0 * m_p * hbar))
     # rows (a, b, e, f, wave p), columns (c, d, g, h, wave q)
     return np.transpose(acc.reshape((W, W) + (R,) * 8),
                         (2, 3, 6, 7, 0, 4, 5, 8, 9, 1)).reshape(flat * W,

@@ -294,11 +294,12 @@ def longitudinal_data(backend, rho):
 def einsum_galerkin_matrix(backend, rho, rule, x3_nodes):
     """Coupled one-step matrix on (field occupations) x (z-line plane waves).
 
-    The per-node outer-product assembly the batched galerkin chunk loop
-    replaced: every node forms the full (a,b,e,f) x (c,d,g,h) pair tensor
-    with einsum.  ``rule`` is the (zeta, weights, line) triple of the
-    longitudinal integral, as ``propagator._longitudinal_rule`` returns it,
-    and ``x3_nodes`` the trapezoid nodes of the periodic x3 integral.
+    The per-node assembly the grouped galerkin loop replaced: every x3 node
+    sums its (a,b,e,f) x (c,d,g,h) pair tensor over zeta by one GEMM per
+    wave row and adds it with its explicit x3 Fourier factors.  ``rule`` is
+    the (zeta, weights, line) triple of the longitudinal integral, as
+    ``propagator._longitudinal_rule`` returns it, and ``x3_nodes`` the
+    trapezoid nodes of the periodic x3 integral.
 
     Transverse endpoint integrals are exact Gaussians, each polarization
     block is an exact four-variable generating-function Gaussian per node,
@@ -366,12 +367,18 @@ def einsum_galerkin_matrix(backend, rho, rule, x3_nodes):
             ec1 = rotation * c1
             ec2 = rotation * c2
             d = np.stack([ec1.real, ec1.imag, ec2.real, ec2.imag], axis=1)
-            block0 = blocks(d, etas[0])
-            block1 = block0 if same_blocks else blocks(d, etas[1])
-            pair = np.einsum("zabcd,zefgh->zabefcdgh", block0,
-                             block1).reshape(len(zc), flat * flat)
-            pair -= pair_base.reshape(-1)[None, :]
-            partial = weights[:, start:start + chunk] @ pair
+            block0 = blocks(d, etas[0]).reshape(len(zc), flat)
+            block1 = block0 if same_blocks else \
+                blocks(d, etas[1]).reshape(len(zc), flat)
+            w = weights[:, start:start + chunk]
+            # one GEMM per wave row q: sum_z w[q, z] block0[z] (x) block1[z],
+            # as (a,b,c,d) x (e,f,g,h), then put in (a,b,e,f) x (c,d,g,h)
+            partial = np.stack([(w[q][:, None] * block0).T @ block1
+                                for q in range(W)])
+            partial = np.transpose(partial.reshape((W,) + (R,) * 8),
+                                   (0, 1, 2, 5, 6, 3, 4, 7, 8))
+            partial = partial.reshape(W, flat * flat) \
+                - w.sum(axis=1)[:, None] * pair_base.reshape(-1)[None, :]
             acc += np.einsum("ab,bF->abF", x_fac, partial)
 
     normal = np.exp(-0.25j * math.pi) / math.sqrt(math.pi)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,12 +318,23 @@ class TestComposeAndGrowth:
                            collect_norms=True)
         assert len(norms) == 10
         rate = fit_growth_rate(np.linspace(0.1, 1.0, 10), norms)
-        assert rate == 0.0
+        assert rate <= 0.0
 
     def test_growth_fit_recovers_synthetic_rate(self):
         times = np.linspace(0.2, 2.0, 8)
         norms = np.exp(0.3 * times)
         assert abs(fit_growth_rate(times, norms) - 0.3) <= 1e-10
+
+    def test_growth_bound_holds_on_a_growing_sequence(self):
+        """A growing, wobbling sequence: K > 0, no norm exceeds the bound,
+        and one norm meets it, so no smaller K would do."""
+        times = np.linspace(0.2, 2.0, 10)
+        norms = np.exp(0.3 * times) * (1.0 + 0.05 * np.sin(5.0 * times))
+        rate = fit_growth_rate(times, norms)
+        assert rate > 0.0
+        ratio = norms / (norms[0] * np.exp(rate * (times - times[0])))
+        assert ratio.max() <= 1.0 + 1e-12
+        assert ratio[1:].max() >= 1.0 - 1e-12
 
     def test_growth_fit_input_guards(self):
         with pytest.raises(ConfigError):
@@ -331,6 +343,8 @@ class TestComposeAndGrowth:
             fit_growth_rate([0.1], [1.0])
         with pytest.raises(ConfigError):
             fit_growth_rate([0.1, 0.2], [1.0, -1.0])
+        with pytest.raises(ConfigError):
+            fit_growth_rate([0.2, 0.2], [1.0, 1.0])
 
 
 class TestConvergenceStudy:
@@ -860,6 +874,22 @@ class TestGalerkinBackend:
                               _galerkin_matrix(straight, 0.5))
         assert np.array_equal(tilted.step_operator(0.5).matrix,
                               _galerkin_matrix(tilted, 0.5))
+
+    def test_assembly_memory_peak(self):
+        """Criterion 6's matrix at rho = 0.125 peaks at most 12 MiB above
+        the call: the accumulator and its transpose take 9.8 MiB, so the
+        group buffer and tables must be the only other large arrays, and
+        they must be gone before the transpose."""
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx)
+        _galerkin_matrix(backend, 0.125)      # fill the module caches first
+        tracemalloc.start()
+        try:
+            _galerkin_matrix(backend, 0.125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_budget_guards(self, monkeypatch):
         config, ctx, basis = galerkin_parts(0.9)
