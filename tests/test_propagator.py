@@ -891,6 +891,16 @@ class TestGalerkinBackend:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
 
+    def test_zeta_chunks_assemble_like_one_build(self, monkeypatch):
+        """Tables built 40 zeta nodes at a time, so that later chunks add
+        into the group buffer, give the one-build matrix to rounding."""
+        _, ctx, basis = galerkin_parts(0.9)
+        backend = StepBackend("galerkin", basis, ctx, transverse=(1, 0))
+        whole = _galerkin_matrix(backend, 0.25)
+        monkeypatch.setattr(propagator, "_ZETA_CHUNK", 40)
+        chunked = _galerkin_matrix(backend, 0.25)
+        assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()
+
     def test_budget_guards(self, monkeypatch):
         config, ctx, basis = galerkin_parts(0.9)
         # the chirp rule's scalar nodes grow like 1 / rho
