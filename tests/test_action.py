@@ -174,8 +174,14 @@ class TestAdaptiveQuadrature:
 
     # Kinks next to a panel end, where no node of the panel or of its halves
     # lies: with the shift test alone, |t - 0.501| came out 4e-6 too small.
+    # Inside a panel the shift can also vanish by coincidence: at 0.4577...
+    # with slope 1/4 the shift passed the 1e-12 floor while the panel was
+    # 4.4e-11 off, and at 0.0902... with slope 1/8 the total came out 1.7e-10
+    # too small.
     @settings(max_examples=30, deadline=None)
     @given(kink=st.floats(0.01, 0.99), slope=st.floats(0.1, 10.0))
+    @example(kink=0.45776549041256437, slope=0.25)
+    @example(kink=0.0902438484935265, slope=0.125)
     @example(kink=0.501, slope=1.0)
     @example(kink=0.5 - 1e-5, slope=1.0)
     @example(kink=0.2501, slope=1.0)
