@@ -38,7 +38,7 @@ if __name__ == "__main__":
 
     # the quadratic field energy is a weighted square sum, shifted so the
     # ground state sits at zero (each variable carries -hbar omega / 2)
-    v2 = potential_V2(a, modes, config)
+    v2 = potential_V2(a.values, modes, config)
     omegas = np.repeat([np.linalg.norm(w.k) * config.c_light
                         for w in modes.lam_prime], 4)
     by_hand = float(np.sum(omegas ** 2 * a.values ** 2 / (2.0 * config.volume)

@@ -96,8 +96,15 @@ class BrokenPath:
 
 
 def _field_values(X, ctx: ModelContext) -> np.ndarray:
+    """A field endpoint as a (4N,) array on Lambda'_3, else ConfigError.
+
+    A ``FieldVector`` must live on a mode set with the s-triples of
+    ``ctx.modes3``; anything else is read as a flat array.
+    """
     if isinstance(X, FieldVector):
-        return X.values
+        if [wv.s for wv in X.modes.lam_prime] != [wv.s for wv in ctx.modes3.lam_prime]:
+            raise ConfigError("field endpoint lives on a mode set other than Lambda'_3")
+        X = X.values
     arr = np.asarray(X, dtype=float)
     if arr.shape != (ctx.n_field,):
         raise ConfigError(f"field endpoint needs length {ctx.n_field}, got {arr.shape}")
@@ -105,8 +112,13 @@ def _field_values(X, ctx: ModelContext) -> np.ndarray:
 
 
 def _particle_values(x, ctx: ModelContext) -> np.ndarray:
+    """A particle endpoint as an (n, 3) array; a single particle may be (3,)."""
     n = ctx.config.n_particles
-    arr = np.zeros((0, 3)) if x is None else np.atleast_2d(np.asarray(x, dtype=float))
+    if x is None:
+        if n:
+            raise ConfigError("particle endpoints are required when n_particles > 0")
+        return np.zeros((0, 3))
+    arr = np.atleast_2d(np.asarray(x, dtype=float))
     if n == 0 and arr.size == 0:
         return np.zeros((0, 3))
     if arr.shape != (n, 3):
@@ -144,8 +156,7 @@ def segment_action(t: float, s: float, x, y, X, Y, ctx: ModelContext) -> float:
 
     def v2_integrand(thetas):
         th = thetas[:, None]
-        return potential_V2(FieldVector((1.0 - th) * Xv + th * Yv, ctx.modes3),
-                            ctx.modes3, config)
+        return potential_V2((1.0 - th) * Xv + th * Yv, ctx.modes3, config)
 
     v1_term = -dt * float(adaptive_gauss_legendre(v1_integrand)) \
         if len(charges) >= 2 and np.any(charges != 0.0) else 0.0

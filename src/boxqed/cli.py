@@ -100,7 +100,7 @@ def _empty_modes(config):
 def _field_state(basis, seed):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    return StateVector(vec, basis).normalized()
+    return StateVector(vec).normalized()
 
 
 def _exact_spectrum_reference(basis, f, horizon, hbar):
@@ -303,8 +303,13 @@ def _execute(subcommand, params, config, out_dir, seed):
 
 
 def _run_rerun(args):
-    with open(args.manifest, "r", encoding="utf-8") as handle:
-        recorded = json.load(handle)
+    try:
+        with open(args.manifest, "r", encoding="utf-8") as handle:
+            recorded = json.load(handle)
+    except (OSError, ValueError) as exc:     # bad JSON or UTF-8 is a ValueError
+        raise ConfigError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    if not isinstance(recorded, dict):
+        raise ConfigError("a manifest holds one JSON object")
     for key in ("subcommand", "config", "params", "outputs", "seed"):
         if key not in recorded:
             raise ConfigError(f"manifest lacks the {key!r} field")

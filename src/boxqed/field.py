@@ -42,11 +42,7 @@ class FieldVector:
     modes: ModeSet
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim < 1 or self.values.shape[-1] != 4 * self.modes.N:
-            raise ConfigError(
-                f"field vector needs length {4 * self.modes.N}, got {self.values.shape}"
-            )
+        self.values = _field_array(self.values, self.modes)
 
     @classmethod
     def zeros(cls, modes: ModeSet) -> "FieldVector":
@@ -141,28 +137,18 @@ class ModelContext:
                     f"Lambda'_2 member {wv.s} is missing from Lambda'_3; "
                     "the coupling modes must be a subset of the field modes"
                 )
-        _, frame2, cols2 = _mode_arrays(self.modes2, self.frame, self.modes3)
+        frame2, cols2 = _mode_arrays(self.modes2, self.frame, self.modes3)
         object.__setattr__(self, "frame2", frame2)
         object.__setattr__(self, "cols2", cols2)
 
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "ModelContext":
-        modes1 = build_mode_set(config, 1)
-        modes2 = build_mode_set(config, 2)
-        modes3 = build_mode_set(config, 3)
-        return cls(
-            config=config,
-            modes1=modes1,
-            modes2=modes2,
-            modes3=modes3,
-            frame=build_polarization(modes3),
-            mollifiers=MollifierPair.defaults(config),
-        )
+        return cls.custom(config, *(build_mode_set(config, i) for i in (1, 2, 3)))
 
     @classmethod
     def custom(cls, config: SimulationConfig, modes1: ModeSet, modes2: ModeSet,
                modes3: ModeSet, mollifiers: MollifierPair | None = None) -> "ModelContext":
-        """Build a context from hand-picked mode sets (desk-scale studies)."""
+        """Build a context from given mode sets, such as hand-picked ones."""
         return cls(
             config=config,
             modes1=modes1,
@@ -181,13 +167,66 @@ class ModelContext:
         return np.repeat(self.config.c_light * self.modes3.k_norm, 4)
 
     def tilde_A(self, x, a_values, *, need_x: bool = True, need_a: bool = True):
-        """``tilde_A_with_derivatives`` on Lambda'_2 for raw Lambda'_3 values.
+        """Mollified potential on Lambda'_2 with optional gradients, batched over points.
 
-        Same batched shapes: ``x`` (..., 3) and ``a_values`` (..., 4N); the
-        frame and column map come from the context instead of per-call lookups.
+        psi acts on each field coordinate and g(x) scales the sum.  ``x`` has
+        shape (..., 3) and ``a_values`` shape (..., 4N) on the flat Lambda'_3
+        layout; their leading axes broadcast to a batch shape B, and a single
+        point is the batch of shape ().  Returns (value, grad_x, grad_a) with
+        shapes B + (3,), B + (3, 3) and B + (3, 4N), where
+        grad_x[..., m, l] = d(tilde_A_l)/dx_m and
+        grad_a[..., m, v] = d(tilde_A_m)/da_v.  Entries not requested come
+        back as None.
         """
-        return _mollified_potential(x, a_values, self.modes2.k, self.frame2, self.cols2,
-                                    self.mollifiers, self.config, need_x, need_a)
+        x = np.asarray(x, dtype=float)
+        a_values = _field_array(a_values, self.modes3)
+        K, E, cols = self.modes2.k, self.frame2, self.cols2
+        mollifiers = self.mollifiers
+        n_flat = a_values.shape[-1]
+        batch = np.broadcast_shapes(x.shape[:-1], a_values.shape[:-1])
+        if len(K) == 0:
+            return (
+                np.zeros(batch + (3,)),
+                np.zeros(batch + (3, 3)) if need_x else None,
+                np.zeros(batch + (3, n_flat)) if need_a else None,
+            )
+        coeff = a_values[..., cols]                            # (..., N2, 2, 2)
+        psi_vals = mollifiers.psi(coeff)
+        kx = x @ K.T                                           # (..., N2)
+        cos_kx = np.cos(kx)[..., None]
+        sin_kx = np.sin(kx)[..., None]
+        pref = _prefactor(self.config)
+        g_val = np.asarray(mollifiers.g(x), dtype=float)
+        scale = (pref * g_val)[..., None]
+
+        # The (n, l) sums are GEMMs over 2 N2 rows: E as (2 N2, 3), and for
+        # the x gradient K (x) E as (2 N2, 9), so that
+        # osc[..., j, m] = d(raw_m)/dx_j at fixed g.
+        n_rows = 2 * len(K)
+        weights = psi_vals[..., 0] * cos_kx + psi_vals[..., 1] * sin_kx
+        raw = (weights.reshape(-1, n_rows) @ E.reshape(n_rows, 3)).reshape(
+            batch + (3,))                                      # before g and pref
+        value = scale * raw
+
+        grad_x = None
+        if need_x:
+            dweights = -psi_vals[..., 0] * sin_kx + psi_vals[..., 1] * cos_kx
+            k_e = (K[:, None, :, None] * E[:, :, None, :]).reshape(n_rows, 9)
+            osc = (dweights.reshape(-1, n_rows) @ k_e).reshape(batch + (3, 3))
+            grad_x = pref * (mollifiers.g_grad(x)[..., :, None] * raw[..., None, :]
+                             + g_val[..., None, None] * osc)
+
+        grad_a = None
+        if need_a:
+            grad_a = np.zeros(batch + (3, n_flat))
+            psi_d = mollifiers.psi_prime(coeff)                # (..., N2, 2, 2)
+            trig = np.concatenate([cos_kx, sin_kx], axis=-1)   # (..., N2, 2)
+            per_var = psi_d * trig[..., None, :]               # (..., N2, 2, 2) for (k, l, i)
+            e_mnl = np.moveaxis(E, -1, 0)[..., None]            # (3, N2, 2, 1)
+            contrib = scale[..., None, None, None] * (per_var[..., None, :, :, :] * e_mnl)
+            grad_a[..., cols.ravel()] = contrib.reshape(batch + (3, -1))
+
+        return value, grad_x, grad_a
 
 
 def extend_parity(a: FieldVector) -> dict:
@@ -209,7 +248,7 @@ def extend_parity(a: FieldVector) -> dict:
 
 
 def _mode_arrays(modes: ModeSet, frame: PolarizationFrame, field_modes: ModeSet):
-    """Wave vectors (N, 3), frame (N, 2, 3) and flat columns (N, 2, 2) of ``modes``.
+    """Frame (N, 2, 3) and flat columns (N, 2, 2) of ``modes``.
 
     The columns are the offsets of the variables (k, l, i) in the flat
     layout of a field vector on ``field_modes``.
@@ -218,7 +257,7 @@ def _mode_arrays(modes: ModeSet, frame: PolarizationFrame, field_modes: ModeSet)
     cols = np.array([[[field_modes.variable_offset(l, wv.s, i) for i in (1, 2)]
                       for l in (1, 2)] for wv in modes.lam_prime],
                     dtype=np.intp).reshape(-1, 2, 2)
-    return modes.k, E, cols
+    return E, cols
 
 
 def _prefactor(config: SimulationConfig) -> float:
@@ -236,117 +275,45 @@ def reconstruct_A(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
     if modes.N == 0:
         return np.zeros(3)
     x = np.asarray(x, dtype=float)
-    K, E, cols = _mode_arrays(modes, frame, a.modes)
+    E, cols = _mode_arrays(modes, frame, a.modes)
     coeff = a.values[cols]                                 # (N2, 2, 2)
-    kx = K @ x
+    kx = modes.k @ x
     weights = coeff[:, :, 0] * np.cos(kx)[:, None] + coeff[:, :, 1] * np.sin(kx)[:, None]
     return _prefactor(config) * np.einsum("nl,nlm->m", weights, E)
 
 
-def reconstruct_tilde_A(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
-                        mollifiers: MollifierPair, config: SimulationConfig) -> np.ndarray:
-    """The mollified potential: psi applied coordinatewise, global factor g(x).
-
-    Batched like ``tilde_A_with_derivatives``: shape (..., 3).
-    """
-    value, _, _ = tilde_A_with_derivatives(
-        x, a, modes, frame, mollifiers, config, need_x=False, need_a=False
-    )
-    return value
+def _field_array(values, modes: ModeSet) -> np.ndarray:
+    """``values`` as a float array of shape (..., 4N) on ``modes``, else ConfigError."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 1 or values.shape[-1] != 4 * modes.N:
+        raise ConfigError(
+            f"field values need length {4 * modes.N}, got shape {values.shape}")
+    return values
 
 
-def tilde_A_with_derivatives(x, a: FieldVector, modes: ModeSet, frame: PolarizationFrame,
-                             mollifiers: MollifierPair, config: SimulationConfig,
-                             need_x: bool = True, need_a: bool = True):
-    """Mollified potential with optional gradients, batched over points.
-
-    ``x`` has shape (..., 3) and ``a.values`` shape (..., 4N); their leading
-    axes broadcast to a batch shape B, and a single point is the batch of
-    shape ().  Returns (value, grad_x, grad_a) with shapes B + (3,),
-    B + (3, 3) and B + (3, 4N), where grad_x[..., m, l] = d(tilde_A_l)/dx_m
-    and grad_a[..., m, v] = d(tilde_A_m)/da_v on the flat Lambda'_3 layout of
-    ``a``.  Entries not requested come back as None.
-    """
-    K, E, cols = _mode_arrays(modes, frame, a.modes)
-    return _mollified_potential(x, a.values, K, E, cols, mollifiers, config, need_x, need_a)
-
-
-def _mollified_potential(x, a_values, K, E, cols, mollifiers: MollifierPair,
-                         config: SimulationConfig, need_x: bool, need_a: bool):
-    """Batched core of ``tilde_A_with_derivatives`` on prebuilt mode arrays."""
-    x = np.asarray(x, dtype=float)
-    a_values = np.asarray(a_values, dtype=float)
-    n_flat = a_values.shape[-1]
-    batch = np.broadcast_shapes(x.shape[:-1], a_values.shape[:-1])
-    if len(K) == 0:
-        return (
-            np.zeros(batch + (3,)),
-            np.zeros(batch + (3, 3)) if need_x else None,
-            np.zeros(batch + (3, n_flat)) if need_a else None,
-        )
-    coeff = a_values[..., cols]                            # (..., N2, 2, 2)
-    psi_vals = mollifiers.psi(coeff)
-    kx = x @ K.T                                           # (..., N2)
-    cos_kx = np.cos(kx)[..., None]
-    sin_kx = np.sin(kx)[..., None]
-    pref = _prefactor(config)
-    g_val = np.asarray(mollifiers.g(x), dtype=float)
-    scale = (pref * g_val)[..., None]
-
-    # The (n, l) sums are GEMMs over 2 N2 rows: E as (2 N2, 3), and for the
-    # x gradient K (x) E as (2 N2, 9), so that osc[..., j, m] = d(raw_m)/dx_j
-    # at fixed g.
-    n_rows = 2 * len(K)
-    weights = psi_vals[..., 0] * cos_kx + psi_vals[..., 1] * sin_kx
-    raw = (weights.reshape(-1, n_rows) @ E.reshape(n_rows, 3)).reshape(
-        batch + (3,))                                      # before g and pref
-    value = scale * raw
-
-    grad_x = None
-    if need_x:
-        dweights = -psi_vals[..., 0] * sin_kx + psi_vals[..., 1] * cos_kx
-        k_e = (K[:, None, :, None] * E[:, :, None, :]).reshape(n_rows, 9)
-        osc = (dweights.reshape(-1, n_rows) @ k_e).reshape(batch + (3, 3))
-        grad_x = pref * (mollifiers.g_grad(x)[..., :, None] * raw[..., None, :]
-                         + g_val[..., None, None] * osc)
-
-    grad_a = None
-    if need_a:
-        grad_a = np.zeros(batch + (3, n_flat))
-        psi_d = mollifiers.psi_prime(coeff)                # (..., N2, 2, 2)
-        trig = np.concatenate([cos_kx, sin_kx], axis=-1)   # (..., N2, 2)
-        per_var = psi_d * trig[..., None, :]               # (..., N2, 2, 2) for (k, l, i)
-        e_mnl = np.moveaxis(E, -1, 0)[..., None]            # (3, N2, 2, 1)
-        contrib = scale[..., None, None, None] * (per_var[..., None, :, :, :] * e_mnl)
-        grad_a[..., cols.ravel()] = contrib.reshape(batch + (3, -1))
-
-    return value, grad_x, grad_a
-
-
-def potential_V2(a: FieldVector, modes: ModeSet, config: SimulationConfig):
+def potential_V2(values, modes: ModeSet, config: SimulationConfig):
     """Quadratic field potential with the ground-energy subtraction.
 
     Sum over (k in Lambda', i, l) of (c|k|)^2 a^2 / (2|V|) - hbar c |k| / 2;
-    the subtraction makes the field ground-state energy exactly zero.  A
-    batch of field points (``a.values`` of shape (..., 4N)) gives an array of
-    shape (...); each point is reduced with ``math.fsum``.
+    the subtraction makes the field ground-state energy exactly zero.
+    ``values`` holds field points on the flat layout of ``modes``, shape
+    (..., 4N); a batch gives an array of shape (...), and each point is
+    reduced with ``math.fsum``.
     """
-    if modes is not a.modes and [wv.s for wv in modes.lam_prime] != [
-        wv.s for wv in a.modes.lam_prime
-    ]:
-        raise ConfigError("potential_V2 expects the field vector on the same Lambda'_3")
+    values = _field_array(values, modes)
     c = config.c_light
     hbar = config.hbar
     vol = config.volume
     knorm = modes.k_norm
-    batch = a.values.shape[:-1]
-    squares = np.sum((a.values ** 2).reshape(batch + (modes.N, 4)), axis=-1)
+    batch = values.shape[:-1]
+    squares = np.sum((values ** 2).reshape(batch + (modes.N, 4)), axis=-1)
     terms = (c * knorm) ** 2 / (2.0 * vol) * squares - 2.0 * hbar * c * knorm
     sums = [math.fsum(row) for row in terms.reshape(math.prod(batch), modes.N).tolist()]
     return sums[0] if not batch else np.array(sums).reshape(batch)
 
 
-def v2_gradient(a: FieldVector, config: SimulationConfig) -> np.ndarray:
-    """dV2/da per flat variable: (c|k|)^2 a / |V|, batched like ``a.values``."""
-    omega_sq = (config.c_light * a.modes.k_norm) ** 2
-    return np.repeat(omega_sq, 4) * a.values / config.volume
+def v2_gradient(values, modes: ModeSet, config: SimulationConfig) -> np.ndarray:
+    """dV2/da per flat variable: (c|k|)^2 a / |V|, batched like ``values``."""
+    values = _field_array(values, modes)
+    omega_sq = (config.c_light * modes.k_norm) ** 2
+    return np.repeat(omega_sq, 4) * values / config.volume

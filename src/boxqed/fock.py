@@ -68,8 +68,7 @@ class OscillatorBasis:
 
     def omegas(self) -> np.ndarray:
         """Angular frequency c|k| per flat variable."""
-        per_mode = np.array([self.c_light * wv.norm for wv in self.modes.lam_prime])
-        return np.repeat(per_mode, 4)
+        return np.repeat(self.c_light * self.modes.k_norm, 4)
 
     def lambdas(self) -> np.ndarray:
         """Inverse Gaussian width sqrt(c|k| / (hbar |V|)) per flat variable."""
@@ -100,7 +99,6 @@ class StateVector:
     """Complex coefficient vector over a product basis, norm cached."""
 
     coefficients: np.ndarray
-    basis: Optional[object] = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
@@ -120,7 +118,7 @@ class StateVector:
     def normalized(self) -> "StateVector":
         if self._norm == 0.0:
             raise ConfigError("cannot normalize the zero state")
-        return StateVector(self.coefficients / self._norm, self.basis)
+        return StateVector(self.coefficients / self._norm)
 
 
 @dataclass
@@ -151,7 +149,7 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
     def apply(self, state: StateVector) -> StateVector:
-        return StateVector(self.matrix @ state.coefficients, state.basis)
+        return StateVector(self.matrix @ state.coefficients)
 
 
 def _single_ladder(cap: int) -> sparse.csr_matrix:
@@ -213,7 +211,7 @@ def vacuum(basis: OscillatorBasis) -> StateVector:
     """All-zeros occupation state, the product Gaussian ground state."""
     coeffs = np.zeros(basis.dim, dtype=complex)
     coeffs[0] = 1.0
-    return StateVector(coeffs, basis)
+    return StateVector(coeffs)
 
 
 def photon_state(occupations: dict, basis: OscillatorBasis) -> StateVector:
@@ -248,7 +246,7 @@ def photon_state(occupations: dict, basis: OscillatorBasis) -> StateVector:
         for _ in range(count):
             state = creator.apply(state)
         norm_factor *= math.factorial(count)
-    return StateVector(state.coefficients / math.sqrt(norm_factor), basis)
+    return StateVector(state.coefficients / math.sqrt(norm_factor))
 
 
 def number_op(basis: OscillatorBasis) -> OperatorMatrix:
@@ -492,4 +490,4 @@ def reference_evolve(H: OperatorMatrix, state: StateVector, t: float,
     if H.dim != len(state.coefficients):
         raise ConfigError("operator and state dimensions disagree")
     coeffs = expm_multiply(-1j * t / hbar * H.matrix, state.coefficients)
-    return StateVector(coeffs, state.basis)
+    return StateVector(coeffs)

@@ -96,19 +96,23 @@ class SimulationConfig:
         Lines starting with ``#`` and blank lines are ignored.  List-valued
         keys (masses, charges) take comma-separated numbers.
         """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
         raw: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
-                key, _, value = stripped.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                raw[key] = value.strip()
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
+            key, _, value = stripped.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raw[key] = value.strip()
         return cls.from_mapping(raw)
 
     @classmethod

@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .action import Subdivision, segment_action
+from .action import Subdivision, _field_values, _particle_values, segment_action
 from .coulomb import v1_gradient
 from .errors import BudgetError, ConfigError, InvariantViolation
-from .field import FieldVector, ModelContext, v2_gradient
+from .field import ModelContext, v2_gradient
 from .fock import (
     OscillatorBasis,
     StateVector,
@@ -457,14 +457,14 @@ def fundamental_step(f: StateVector, t: float, s: float,
     if t < s:
         raise ConfigError("fundamental_step needs t >= s")
     if t == s:
-        return StateVector(f.coefficients.copy(), f.basis)
+        return StateVector(f.coefficients.copy())
     op = backend.step_operator(t - s)
     if len(f.coefficients) != op.dim:
         raise ConfigError(
             f"state dimension {len(f.coefficients)} does not match the "
             f"backend's step operator ({op.dim})"
         )
-    return StateVector(op.apply(f.coefficients), f.basis)
+    return StateVector(op.apply(f.coefficients))
 
 
 def compose(f: StateVector, subdivision: Subdivision, backend: _Step,
@@ -647,7 +647,7 @@ def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
         if has_v1:
             rows_y -= weight[..., None, None] * v1_gradient(q, charges, ctx.modes1, config)
         if has_v2:
-            rows_Y -= weight[..., None] * v2_gradient(FieldVector(a_vals, ctx.modes3), config)
+            rows_Y -= weight[..., None] * v2_gradient(a_vals, ctx.modes3, config)
         for j in coupled:
             value, grad_x, grad_a = ctx.tilde_A(q[..., j, :], a_vals)
             factor = charges[j] / config.c_light
@@ -730,24 +730,8 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
     n = config.n_particles
     rho = t - s
 
-    def positions(p):
-        if p is None:
-            if n:
-                raise ConfigError("particle endpoints are required when "
-                                  "n_particles > 0")
-            return np.zeros((0, 3))
-        return np.asarray(p, dtype=float).reshape(n, 3)
-
-    def fields(a):
-        vals = a.values if isinstance(a, FieldVector) else a
-        return np.asarray(vals, dtype=float).reshape(ctx.n_field)
-
-    x = positions(x)
-    y = positions(y)
-    z = positions(z)
-    X = fields(X)
-    Y = fields(Y)
-    Z = fields(Z)
+    x, y, z = (_particle_values(p, ctx) for p in (x, y, z))
+    X, Y, Z = (_field_values(a, ctx) for a in (X, Y, Z))
 
     values = _phi_values(t, s, x, y, z[None], X, Y, Z[None], ctx, rel_tol)[0]
     phi, phi1 = values[:3 * n].reshape(n, 3), values[3 * n:]
@@ -924,7 +908,7 @@ def g_epsilon_step(f: StateVector, t: float, s: float, eps: float,
     factor = 1.0 + 0.0j
     for wv in backend.ctx.modes1.lam_prime:
         factor *= xi_mode_factor(wv.norm, t - s, eps, backend.ctx.config)
-    return StateVector(factor * stepped.coefficients, stepped.basis)
+    return StateVector(factor * stepped.coefficients)
 
 
 def g_epsilon_levels(rho: float, backend: _Step,
@@ -962,7 +946,7 @@ def g_epsilon_extrapolated(f: StateVector, t: float, s: float,
     states = [g_epsilon_step(f, t, s, eps, backend).coefficients
               for eps in g_epsilon_levels(t - s, backend, eps0)]
     combined = (states[0] - 6.0 * states[1] + 8.0 * states[2]) / 3.0
-    return StateVector(combined, f.basis)
+    return StateVector(combined)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.special import erf, erfc, erfcx
 
 from boxqed.coulomb import v1_gradient
 from boxqed.errors import BudgetError, ConfigError
-from boxqed.field import FieldVector, extend_parity, tilde_A_with_derivatives, v2_gradient
+from boxqed.field import extend_parity, v2_gradient
 from boxqed.propagator import (
     TWO_PI,
     _earlier_integrand,
@@ -114,7 +114,7 @@ def looped_earlier_integrand(thetas, rho, z_part, y_part, Z_f, Y_f, ctx):
     """Theta integrand of the earlier-endpoint gradient, one node at a time.
 
     The per-node form the batched propagator integrand replaced: every node
-    rebuilds its field vector and calls the kernels on a single point.
+    calls the kernels on a single point.
     """
     config = ctx.config
     n = config.n_particles
@@ -134,11 +134,9 @@ def looped_earlier_integrand(thetas, rho, z_part, y_part, Z_f, Y_f, ctx):
         if has_v1:
             row_y -= rho * th * v1_gradient(q, charges, ctx.modes1, config)
         if has_v2:
-            row_Y -= rho * th * v2_gradient(FieldVector(a_vals, ctx.modes3), config)
+            row_Y -= rho * th * v2_gradient(a_vals, ctx.modes3, config)
         for j in coupled:
-            value, grad_x, grad_a = tilde_A_with_derivatives(
-                q[j], FieldVector(a_vals, ctx.modes3), ctx.modes2,
-                ctx.frame, ctx.mollifiers, config)
+            value, grad_x, grad_a = ctx.tilde_A(q[j], a_vals)
             factor = charges[j] / config.c_light
             row_y[j] += factor * (-value + th * (grad_x @ disp[j]))
             row_Y += factor * th * (disp[j] @ grad_a)

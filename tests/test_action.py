@@ -229,7 +229,7 @@ class TestSegmentAction:
         t, s = 1.7, 0.4
         value = segment_action(t, s, x, x, X, X, ctx)
         v1 = potential_V1(x, ctx.config.charges, ctx.modes1, ctx.config)
-        v2 = potential_V2(FieldVector(X, ctx.modes3), ctx.modes3, ctx.config)
+        v2 = potential_V2(X, ctx.modes3, ctx.config)
         assert value == pytest.approx(-(t - s) * (v1 + v2), rel=1e-10)
 
     def test_rejects_bad_times(self):
@@ -237,6 +237,24 @@ class TestSegmentAction:
         zero = np.zeros(4)
         with pytest.raises(ConfigError):
             segment_action(0.0, 0.0, np.zeros((1, 3)), np.zeros((1, 3)), zero, zero, ctx)
+
+    def test_rejects_field_vectors_on_other_modes(self):
+        ctx = single_mode_ctx(n_particles=0, masses=(), charges=())
+        other = ModeSet.from_s_triples([(0, 1, 0)], ctx.config.L)
+        X = FieldVector(np.ones(4), other)
+        Y = FieldVector(np.zeros(4), other)
+        with pytest.raises(ConfigError, match="mode set"):
+            segment_action(0.5, 0.0, None, None, X, Y, ctx)
+
+    def test_rejects_field_vectors_of_the_wrong_length(self):
+        ctx = single_mode_ctx(n_particles=0, masses=(), charges=())
+        wide = ModeSet.from_s_triples([(0, 0, 1), (0, 1, 0)], ctx.config.L)
+        with pytest.raises(ConfigError):
+            segment_action(0.5, 0.0, None, None, FieldVector(np.ones(8), wide),
+                           np.zeros(4), ctx)
+        batch = FieldVector(np.ones((2, 4)), ctx.modes3)
+        with pytest.raises(ConfigError, match="length 4"):
+            segment_action(0.5, 0.0, None, None, batch, np.zeros(4), ctx)
 
     def test_gauge_term_antisymmetry(self):
         # Kinetic and potential blocks are orientation-even; whatever remains
@@ -256,8 +274,8 @@ class TestSegmentAction:
             lambda th: potential_V1((1 - th) * x + th * y, ctx.config.charges,
                                     ctx.modes1, ctx.config), 0.0, 1.0)
         v2_int, _ = integrate.quad(
-            lambda th: potential_V2(FieldVector((1 - th) * X + th * Y, ctx.modes3),
-                                    ctx.modes3, ctx.config), 0.0, 1.0)
+            lambda th: potential_V2((1 - th) * X + th * Y, ctx.modes3, ctx.config),
+            0.0, 1.0)
         base = kinetic - dt * (v1_int + v2_int)
         forward = segment_action(t, s, x, y, X, Y, ctx)
         backward = segment_action(t, s, y, x, Y, X, ctx)

@@ -206,6 +206,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        code = run(["modes", "--config", str(tmp_path / name), "--out", str(out)])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the last is a JSON string that holds every field name as a substring
+    @pytest.mark.parametrize("text", [
+        None, "{not json", '"subcommand config params outputs seed"'])
+    def test_unreadable_manifest_exits_two(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        out = tmp_path / "o"
+        code = run(["rerun", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["L1 = inf", "hbar = nan", "masses = inf",
                                       "charges = nan"])
     def test_non_finite_config_values_exit_two(self, tmp_path, capsys, line):

@@ -16,8 +16,6 @@ from boxqed.field import (
     extend_parity,
     potential_V2,
     reconstruct_A,
-    reconstruct_tilde_A,
-    tilde_A_with_derivatives,
     v2_gradient,
 )
 
@@ -185,6 +183,19 @@ class TestMollifiers:
             assert float(moll.psi_prime(theta)) == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
 
+def tilde_value(ctx, x, values):
+    """The mollified potential alone, without gradients."""
+    value, _, _ = ctx.tilde_A(x, values, need_x=False, need_a=False)
+    return value
+
+
+def mollified_ctx():
+    config = SimulationConfig(
+        L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
+    )
+    return ModelContext.from_config(config)
+
+
 class TestTildeA:
     def test_reduces_to_A_for_wide_mollifiers(self):
         config = SimulationConfig(
@@ -194,100 +205,74 @@ class TestTildeA:
         vec = random_field(ctx.modes3, seed=2)
         x = np.array([1.2, 0.4, -0.9])
         plain = reconstruct_A(x, vec, ctx.modes2, ctx.frame, ctx.config)
-        tilde = reconstruct_tilde_A(x, vec, ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
+        tilde = tilde_value(ctx, x, vec.values)
         assert np.allclose(tilde, plain, rtol=1e-12, atol=1e-15)
 
     def test_matches_looped_oracle(self):
-        config = SimulationConfig(
-            L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
-        )
-        ctx = ModelContext.from_config(config)
+        ctx = mollified_ctx()
         vec = random_field(ctx.modes3, seed=13)
         for x in (np.zeros(3), np.array([0.8, -0.2, 1.5])):
-            got = reconstruct_tilde_A(x, vec, ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
+            got = tilde_value(ctx, x, vec.values)
             want = looped_tilde_A(x, vec, ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
             assert np.allclose(got, want, atol=1e-13)
 
     def test_gradients_match_finite_differences(self):
-        config = SimulationConfig(
-            L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
-        )
-        ctx = ModelContext.from_config(config)
-        vec = random_field(ctx.modes3, seed=29)
+        ctx = mollified_ctx()
+        values = random_field(ctx.modes3, seed=29).values
         x = np.array([0.3, -0.7, 0.9])
-        value, grad_x, grad_a = tilde_A_with_derivatives(
-            x, vec, ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config
-        )
-        assert np.allclose(
-            value,
-            reconstruct_tilde_A(x, vec, ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config),
-        )
+        value, grad_x, grad_a = ctx.tilde_A(x, values)
+        assert np.array_equal(value, tilde_value(ctx, x, values))
         h = 1e-6
         for m in range(3):
             step = np.zeros(3)
             step[m] = h
-            plus = reconstruct_tilde_A(x + step, vec, ctx.modes2, ctx.frame,
-                                       ctx.mollifiers, ctx.config)
-            minus = reconstruct_tilde_A(x - step, vec, ctx.modes2, ctx.frame,
-                                        ctx.mollifiers, ctx.config)
-            fd = (plus - minus) / (2.0 * h)
+            fd = (tilde_value(ctx, x + step, values)
+                  - tilde_value(ctx, x - step, values)) / (2.0 * h)
             assert np.allclose(grad_x[m], fd, atol=5e-7)
         rng = np.random.default_rng(4)
         for flat in rng.choice(4 * ctx.modes3.N, size=8, replace=False):
-            bumped = FieldVector(vec.values.copy(), ctx.modes3)
-            bumped.values[flat] += h
-            dropped = FieldVector(vec.values.copy(), ctx.modes3)
-            dropped.values[flat] -= h
-            plus = reconstruct_tilde_A(x, bumped, ctx.modes2, ctx.frame,
-                                       ctx.mollifiers, ctx.config)
-            minus = reconstruct_tilde_A(x, dropped, ctx.modes2, ctx.frame,
-                                        ctx.mollifiers, ctx.config)
-            fd = (plus - minus) / (2.0 * h)
+            bump = np.zeros_like(values)
+            bump[flat] = h
+            fd = (tilde_value(ctx, x, values + bump)
+                  - tilde_value(ctx, x, values - bump)) / (2.0 * h)
             assert np.allclose(grad_a[:, flat], fd, atol=5e-7)
 
-
     def test_batch_matches_single_point_calls(self):
-        config = SimulationConfig(
-            L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
-        )
-        ctx = ModelContext.from_config(config)
+        ctx = mollified_ctx()
         rng = np.random.default_rng(31)
         xs = rng.uniform(-2.0, 2.0, size=(2, 3, 3))
         values = rng.standard_normal((2, 3, 4 * ctx.modes3.N))
-        args = (ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
-        batch = tilde_A_with_derivatives(xs, FieldVector(values, ctx.modes3), *args)
+        batch = ctx.tilde_A(xs, values)
         assert [part.shape for part in batch] == [
             (2, 3, 3), (2, 3, 3, 3), (2, 3, 3, 4 * ctx.modes3.N)]
         for idx in np.ndindex(2, 3):
-            single = tilde_A_with_derivatives(
-                xs[idx], FieldVector(values[idx], ctx.modes3), *args)
+            single = ctx.tilde_A(xs[idx], values[idx])
             for got, want in zip(batch, single):
                 assert np.max(np.abs(got[idx] - want)) <= 1e-12 * np.max(np.abs(want))
         # a single point broadcasts against a batch of field values
-        shared = tilde_A_with_derivatives(xs[0, 0], FieldVector(values[0], ctx.modes3), *args)
+        shared = ctx.tilde_A(xs[0, 0], values[0])
         for got, want in zip(shared, batch):
             assert got.shape == want[0].shape
         assert np.allclose(shared[0][0], batch[0][0, 0], rtol=1e-12, atol=0.0)
-        via_context, _, _ = ctx.tilde_A(xs, values, need_x=False, need_a=False)
-        assert np.array_equal(via_context, batch[0])
+        assert np.array_equal(tilde_value(ctx, xs, values), batch[0])
 
     def test_batched_grad_x_matches_central_differences(self):
-        config = SimulationConfig(
-            L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1), sigma_psi=0.7, width_g=2.5
-        )
-        ctx = ModelContext.from_config(config)
+        ctx = mollified_ctx()
         rng = np.random.default_rng(37)
         xs = rng.uniform(-2.0, 2.0, size=(6, 3))
-        vec = FieldVector(rng.standard_normal((6, 4 * ctx.modes3.N)), ctx.modes3)
-        args = (ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
-        _, grad_x, _ = tilde_A_with_derivatives(xs, vec, *args)
+        values = rng.standard_normal((6, 4 * ctx.modes3.N))
+        _, grad_x, _ = ctx.tilde_A(xs, values)
         h = 1e-6
         for m in range(3):
             step = np.zeros(3)
             step[m] = h
-            fd = (reconstruct_tilde_A(xs + step, vec, *args)
-                  - reconstruct_tilde_A(xs - step, vec, *args)) / (2.0 * h)
+            fd = (tilde_value(ctx, xs + step, values)
+                  - tilde_value(ctx, xs - step, values)) / (2.0 * h)
             assert np.allclose(grad_x[:, m, :], fd, atol=5e-7)
+
+    def test_rejects_values_of_the_wrong_length(self, ctx):
+        with pytest.raises(ConfigError):
+            ctx.tilde_A(np.zeros(3), np.zeros(4 * ctx.modes3.N + 1))
 
 
 class TestPotentialV2:
@@ -298,8 +283,7 @@ class TestPotentialV2:
 
     def test_vacuum_value(self):
         config, modes = self.one_mode_ctx()
-        vec = FieldVector.zeros(modes)
-        assert potential_V2(vec, modes, config) == pytest.approx(-2.0, abs=1e-13)
+        assert potential_V2(np.zeros(4), modes, config) == pytest.approx(-2.0, abs=1e-13)
 
     def test_single_scaled_coordinate(self):
         # Setting one coordinate to sqrt(|V| hbar / (c|k|)) cancels that
@@ -308,48 +292,50 @@ class TestPotentialV2:
         s = modes.lam_prime[0].s
         amp = math.sqrt(config.volume * config.hbar / config.c_light)
         vec = FieldVector.from_entries(modes, {(1, s, 1): amp})
-        assert potential_V2(vec, modes, config) == pytest.approx(-1.5, abs=1e-13)
+        assert potential_V2(vec.values, modes, config) == pytest.approx(-1.5, abs=1e-13)
 
     def test_quadratic_scaling(self):
         config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1))
         ctx = ModelContext.from_config(config)
-        vec = random_field(ctx.modes3, seed=41)
-        double = FieldVector(2.0 * vec.values, ctx.modes3)
-        base = potential_V2(FieldVector.zeros(ctx.modes3), ctx.modes3, config)
-        v_one = potential_V2(vec, ctx.modes3, config) - base
-        v_two = potential_V2(double, ctx.modes3, config) - base
+        values = random_field(ctx.modes3, seed=41).values
+        base = potential_V2(np.zeros(ctx.n_field), ctx.modes3, config)
+        v_one = potential_V2(values, ctx.modes3, config) - base
+        v_two = potential_V2(2.0 * values, ctx.modes3, config) - base
         assert v_two == pytest.approx(4.0 * v_one, rel=1e-12)
 
     def test_gradient_matches_difference(self):
         config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1))
         ctx = ModelContext.from_config(config)
-        vec = random_field(ctx.modes3, seed=43)
-        grad = v2_gradient(vec, config)
+        values = random_field(ctx.modes3, seed=43).values
+        grad = v2_gradient(values, ctx.modes3, config)
         # Central differences are exact for a quadratic, so a wide step
         # only reduces roundoff.
         h = 1e-4
         for flat in (0, 7, 4 * ctx.modes3.N - 1):
-            up = FieldVector(vec.values.copy(), ctx.modes3)
-            up.values[flat] += h
-            down = FieldVector(vec.values.copy(), ctx.modes3)
-            down.values[flat] -= h
-            fd = (potential_V2(up, ctx.modes3, config)
-                  - potential_V2(down, ctx.modes3, config)) / (2.0 * h)
+            bump = np.zeros_like(values)
+            bump[flat] = h
+            fd = (potential_V2(values + bump, ctx.modes3, config)
+                  - potential_V2(values - bump, ctx.modes3, config)) / (2.0 * h)
             assert grad[flat] == pytest.approx(fd, rel=1e-7, abs=1e-9)
-
 
     def test_batch_matches_single_points(self):
         config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI), M=(1, 1, 1))
         ctx = ModelContext.from_config(config)
         values = np.random.default_rng(47).standard_normal((5, 4 * ctx.modes3.N))
-        batch = FieldVector(values, ctx.modes3)
-        energies = potential_V2(batch, ctx.modes3, config)
-        gradients = v2_gradient(batch, config)
+        energies = potential_V2(values, ctx.modes3, config)
+        gradients = v2_gradient(values, ctx.modes3, config)
         assert energies.shape == (5,) and gradients.shape == values.shape
         for row, energy, gradient in zip(values, energies, gradients):
-            single = FieldVector(row, ctx.modes3)
-            assert energy == potential_V2(single, ctx.modes3, config)
-            assert np.array_equal(gradient, v2_gradient(single, config))
+            assert energy == potential_V2(row, ctx.modes3, config)
+            assert np.array_equal(gradient, v2_gradient(row, ctx.modes3, config))
+
+    def test_rejects_values_of_the_wrong_length(self):
+        config, modes = self.one_mode_ctx()
+        for values in (np.zeros(8), np.zeros((3, 5)), np.float64(0.0)):
+            with pytest.raises(ConfigError, match="length 4"):
+                potential_V2(values, modes, config)
+            with pytest.raises(ConfigError, match="length 4"):
+                v2_gradient(values, modes, config)
 
 
 class TestModelContext:

@@ -75,13 +75,12 @@ def hermite_levels(cap, u):
     return out
 
 
-def coordinate_values(state, points):
+def coordinate_values(state, basis, points):
     """Evaluate an occupation-basis state as a wavefunction of the a-variables.
 
     points has one row per sample, one column per flat variable.  The
     per-variable sqrt(lambda) normalizations are included.
     """
-    basis = state.basis
     lams = basis.lambdas()
     per_var = []
     for v in range(basis.n_vars):
@@ -147,7 +146,7 @@ class TestDifferentialOracle:
         vec = np.zeros(basis.dim, dtype=complex)
         for n, c in enumerate(coeffs):
             vec[basis.index_of((n,) + (0,) * (basis.n_vars - 1))] = c
-        state = StateVector(vec, basis)
+        state = StateVector(vec)
         out = h_rad(basis).apply(state)
         points = np.linspace(-30.0, 30.0, 121)
         grid = np.zeros((len(points), basis.n_vars))
@@ -155,7 +154,7 @@ class TestDifferentialOracle:
         direct = single_variable_hamiltonian_action(coeffs, basis, points)
         ground = math.prod(math.sqrt(l) * math.pi ** -0.25
                            for l in basis.lambdas()[1:])
-        via_matrix = coordinate_values(out, grid)
+        via_matrix = coordinate_values(out, basis, grid)
         assert np.max(np.abs(via_matrix - ground * direct)) <= 1e-8
 
     def test_creator_on_vacuum_is_coordinate_multiplication(self, basis):
@@ -163,10 +162,10 @@ class TestDifferentialOracle:
         lifted = creator.apply(vacuum(basis))
         rng = np.random.default_rng(3)
         grid = rng.normal(scale=8.0, size=(40, basis.n_vars))
-        lhs = coordinate_values(lifted, grid)
+        lhs = coordinate_values(lifted, basis, grid)
         factor = math.sqrt(2.0 * basis.c_light * 1.0 / (basis.hbar * basis.volume))
         conj_coord = (grid[:, 0] + 1j * grid[:, 1]) / math.sqrt(2.0)
-        rhs = factor * conj_coord * coordinate_values(vacuum(basis), grid)
+        rhs = factor * conj_coord * coordinate_values(vacuum(basis), basis, grid)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
@@ -358,7 +357,7 @@ class TestConservedFamily:
         rad = h_rad(basis)
         for _ in range(5):
             vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-            state = StateVector(vec, basis).normalized()
+            state = StateVector(vec).normalized()
             value = state.inner(rad.apply(state))
             assert value.real >= -1e-13
             assert abs(value.imag) <= 1e-13

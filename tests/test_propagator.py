@@ -96,7 +96,7 @@ def galerkin_parts(charge, cap=2, s3=1):
 def random_state(dim, seed=7, basis=None):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(vec, basis).normalized()
+    return StateVector(vec).normalized()
 
 
 class TestFresnelTools:
@@ -497,6 +497,14 @@ class TestPhiMaps:
                            FieldVector(Z, ONE_MODE), ctx,
                            jacobian=False, verify=False)
         assert np.array_equal(plain.phi1, wrapped.phi1)
+
+    def test_rejects_field_vectors_on_other_modes(self):
+        ctx = one_mode_ctx()
+        other = ModeSet.from_s_triples([(0, 1, 0)], BOX)
+        X, Y, Z = (FieldVector(np.full(4, v), other) for v in (0.1, 0.2, 0.3))
+        with pytest.raises(ConfigError, match="mode set"):
+            phi_maps(0.3, 0.0, None, None, None, X, Y, Z, ctx,
+                     jacobian=False, verify=False)
 
     def test_input_guards(self):
         ctx = one_mode_ctx()
