@@ -60,7 +60,7 @@ def coupled():
     backend = StepBackend("galerkin", basis, ctx)
 
     hamiltonian = assemble_hamiltonian(
-        config, basis, particle_rep="planewave", ctx=ctx,
+        config, basis, ctx=ctx,
         wave_indices=np.array([(0, 0, m) for m in range(-3, 4)]))
     start = np.zeros(backend.state_dim, dtype=complex)
     start[3] = 1.0      # field vacuum, particle momentum zero

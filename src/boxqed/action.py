@@ -196,12 +196,6 @@ def scalar_offset_term(t: float, s: float, xi, ctx: ModelContext) -> float:
     return (t - s) / (4.0 * math.pi * ctx.config.volume) * weighted
 
 
-def phi_path_action(t: float, s: float, x, y, X, Y, xi, ctx: ModelContext) -> float:
-    """Segment action along the scalar-shifted path: base action plus the
-    quadratic offset cost."""
-    return segment_action(t, s, x, y, X, Y, ctx) + scalar_offset_term(t, s, xi, ctx)
-
-
 def broken_action(path: BrokenPath, ctx: ModelContext) -> float:
     """Total action of a broken-line path: the sum over its segments."""
     total = 0.0
@@ -246,40 +240,3 @@ def constraint_identity_check(x, charges, k) -> tuple:
                 cross += e[j] * e[l] * math.cos(float(kvec @ (xs[j] - xs[l])))
     rhs = -16.0 * math.pi ** 2 / k_sq * cross
     return lhs, rhs
-
-
-def external_field_terms(t: float, s: float, x, y, A_ex, phi_ex,
-                         ctx: ModelContext) -> float:
-    """Extra action from prescribed external potentials along the segment.
-
-    Both callables take (time, point); they are sampled at the segment's
-    earlier time s, matching a left-endpoint slicing of slowly varying fields.
-    """
-    if t <= s:
-        raise ConfigError("segment needs t > s")
-    xv = _particle_values(x, ctx)
-    yv = _particle_values(y, ctx)
-    charges = np.asarray(ctx.config.charges, dtype=float)
-    if not len(charges) or not np.any(charges != 0.0):
-        return 0.0
-    disp = xv - yv
-    total = 0.0
-    for j in range(len(charges)):
-        if charges[j] == 0.0:
-            continue
-        if A_ex is not None:
-            def vector_integrand(thetas, j=j):
-                return np.array([
-                    np.asarray(A_ex(s, (1.0 - th) * xv[j] + th * yv[j]), dtype=float)
-                    for th in np.atleast_1d(thetas)
-                ])
-            line = adaptive_gauss_legendre(vector_integrand)
-            total += charges[j] / ctx.config.c_light * float(disp[j] @ line)
-        if phi_ex is not None:
-            def scalar_integrand(thetas, j=j):
-                return np.array([
-                    float(phi_ex(s, (1.0 - th) * xv[j] + th * yv[j]))
-                    for th in np.atleast_1d(thetas)
-                ])
-            total -= charges[j] * (t - s) * float(adaptive_gauss_legendre(scalar_integrand))
-    return total

@@ -203,8 +203,7 @@ def _run_propagate(params, config, seed):
         f = StateVector(start)
         waves = np.array([(0, 0, m) for m in
                           range(-backend.wave_cutoff, backend.wave_cutoff + 1)])
-        hamiltonian = assemble_hamiltonian(config, basis,
-                                           particle_rep="planewave", ctx=ctx,
+        hamiltonian = assemble_hamiltonian(config, basis, ctx=ctx,
                                            wave_indices=waves)
         reference = reference_evolve(hamiltonian, f, horizon, config.hbar)
     else:
@@ -313,12 +312,23 @@ def _run_rerun(args):
     for key in ("subcommand", "config", "params", "outputs", "seed"):
         if key not in recorded:
             raise ConfigError(f"manifest lacks the {key!r} field")
-    if recorded["subcommand"] not in _SUBCOMMANDS:
-        raise ConfigError(
-            f"manifest names unknown subcommand {recorded['subcommand']!r}")
+    subcommand = recorded["subcommand"]
+    if not isinstance(subcommand, str) or subcommand not in _SUBCOMMANDS:
+        raise ConfigError(f"manifest names unknown subcommand {subcommand!r}")
+    if not isinstance(recorded["outputs"], dict):
+        raise ConfigError("manifest outputs must be a JSON object")
     config = SimulationConfig.from_mapping(recorded["config"])
-    manifest = _execute(recorded["subcommand"], recorded["params"], config,
-                        args.out, recorded["seed"])
+    raw = recorded["params"]
+    dests = {flag.dest for flag in _SUBCOMMANDS[subcommand][2]}
+    if not isinstance(raw, dict) or set(raw) != dests:
+        raise ConfigError(f"manifest params of {subcommand!r} must name exactly "
+                          f"{sorted(dests)}")
+    params = _parse_params(subcommand, {dest: _text(v) for dest, v in raw.items()})
+    try:
+        seed = int(_text(recorded["seed"]))
+    except ValueError as exc:
+        raise ConfigError(f"manifest seed {exc}") from exc
+    manifest = _execute(subcommand, params, config, args.out, seed)
     # a missing output reads as None, so it counts as mismatched
     mismatched = [
         name for name, digest in recorded["outputs"].items()
@@ -329,7 +339,7 @@ def _run_rerun(args):
             "rerun outputs differ from the manifest: "
             + ", ".join(sorted(mismatched))
         )
-    print(f"rerun of {recorded['subcommand']!r} reproduced "
+    print(f"rerun of {subcommand!r} reproduced "
           f"{len(recorded['outputs'])} file(s) byte-identically in {args.out}")
     return 0
 
@@ -436,15 +446,24 @@ def build_parser():
     return parser
 
 
-def _params_from_args(args):
-    """The study params: each flag's text parsed, else its default.
+def _text(value):
+    """A manifest value as the text its flag parses: a JSON list comma-joined."""
+    if isinstance(value, list):
+        return ",".join(str(item) for item in value)
+    return str(value)
 
-    Parsing waits until after ``parse_args`` so that a malformed or empty
-    value exits through ``ConfigError`` like any other configuration error.
+
+def _parse_params(subcommand, texts):
+    """The study params: each flag's text in ``texts`` parsed, else its default.
+
+    ``texts`` maps a flag's dest to its text, or to None for the default;
+    the command line and ``rerun`` both come through here.  Parsing waits
+    until after ``parse_args`` so that a malformed or empty value exits
+    through ``ConfigError`` like any other configuration error.
     """
     params = {}
-    for flag in _SUBCOMMANDS[args.subcommand][2]:
-        text = getattr(args, flag.dest)
+    for flag in _SUBCOMMANDS[subcommand][2]:
+        text = texts.get(flag.dest)
         if text is None:
             params[flag.dest] = flag.default(params) \
                 if callable(flag.default) else flag.default
@@ -453,6 +472,8 @@ def _params_from_args(args):
             params[flag.dest] = flag.parse(text)
         except ValueError as exc:
             raise ConfigError(f"{_option(flag.dest)} {exc}") from exc
+        if flag.choices and params[flag.dest] not in flag.choices:
+            raise ConfigError(f"{_option(flag.dest)} must be one of {flag.choices}")
     return params
 
 
@@ -463,7 +484,8 @@ def main(argv=None) -> int:
             return _run_rerun(args)
         config = SimulationConfig.from_file(args.config) if args.config \
             else SimulationConfig()
-        manifest = _execute(args.subcommand, _params_from_args(args), config,
+        manifest = _execute(args.subcommand,
+                            _parse_params(args.subcommand, vars(args)), config,
                             args.out, args.seed)
         names = ", ".join(sorted(manifest["outputs"]))
         print(f"{args.subcommand}: wrote {names} and manifest.json "

@@ -67,55 +67,12 @@ class FieldVector:
 
 
 @dataclass(frozen=True)
-class MollifierPair:
-    """Odd amplitude damping psi and radial spatial cutoff g, with derivatives.
-
-    The defaults are psi(t) = sigma*tanh(t/sigma), which is odd with all
-    derivatives decaying and close to the identity for |t| << sigma, and
-    g(x) = exp(-|x|^2/(2 w^2)) with g(0) = 1.
-
-    The kernels call these on whole batches: psi and psi_prime act
-    elementwise on arrays of any shape, g maps points of shape (..., 3) to
-    (...), and g_grad maps them to (..., 3).  A custom pair must do the same.
-    """
-
-    psi: object
-    psi_prime: object
-    g: object
-    g_grad: object
-    sigma_psi: float
-    width_g: float
-
-    @classmethod
-    def defaults(cls, config: SimulationConfig) -> "MollifierPair":
-        sigma = config.sigma_psi
-        width = config.width_g
-
-        def psi(theta):
-            return sigma * np.tanh(np.asarray(theta, dtype=float) / sigma)
-
-        def psi_prime(theta):
-            t = np.tanh(np.asarray(theta, dtype=float) / sigma)
-            return 1.0 - t * t
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-np.sum(x * x, axis=-1) / (2.0 * width * width))
-
-        def g_grad(x):
-            x = np.asarray(x, dtype=float)
-            return (-x / (width * width)) * g(x)[..., None]
-
-        return cls(psi=psi, psi_prime=psi_prime, g=g, g_grad=g_grad,
-                   sigma_psi=sigma, width_g=width)
-
-
-@dataclass(frozen=True)
 class ModelContext:
     """Everything the action and propagator need: mode sets, frame, mollifiers.
 
     modes1 drives V1, modes2 the coupled potential, modes3 the field state
-    space.  Lambda'_2 must be contained in Lambda'_3.  ``frame2``
+    space.  Lambda'_2 must be contained in Lambda'_3.  The mollifiers ``psi``
+    and ``g`` take their widths from ``config``.  ``frame2``
     (N2, 2, 3) holds the polarization vectors on Lambda'_2 and ``cols2``
     (N2, 2, 2) the flat Lambda'_3 offsets of the variables (k, l, i) they
     couple to; both are built once, for the batched kernels.
@@ -126,7 +83,6 @@ class ModelContext:
     modes2: ModeSet
     modes3: ModeSet
     frame: PolarizationFrame
-    mollifiers: MollifierPair
     frame2: np.ndarray = field(init=False, repr=False, compare=False)
     cols2: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -147,7 +103,7 @@ class ModelContext:
 
     @classmethod
     def custom(cls, config: SimulationConfig, modes1: ModeSet, modes2: ModeSet,
-               modes3: ModeSet, mollifiers: MollifierPair | None = None) -> "ModelContext":
+               modes3: ModeSet) -> "ModelContext":
         """Build a context from given mode sets, such as hand-picked ones."""
         return cls(
             config=config,
@@ -155,7 +111,6 @@ class ModelContext:
             modes2=modes2,
             modes3=modes3,
             frame=build_polarization(modes3),
-            mollifiers=mollifiers or MollifierPair.defaults(config),
         )
 
     @property
@@ -165,6 +120,31 @@ class ModelContext:
     def field_frequencies(self) -> np.ndarray:
         """Angular frequency c|k| per flat field variable (length 4N)."""
         return np.repeat(self.config.c_light * self.modes3.k_norm, 4)
+
+    def psi(self, theta, order: int = 0) -> tuple:
+        """Amplitude damping psi(t) = sigma tanh(t / sigma) and psi' if ``order`` is 1.
+
+        Odd, with all derivatives decaying, and close to the identity for
+        |t| << sigma.  Acts elementwise on arrays of any shape.
+        """
+        _check_order(order)
+        sigma = self.config.sigma_psi
+        t = np.tanh(np.asarray(theta, dtype=float) / sigma)
+        return (sigma * t,) if order == 0 else (sigma * t, 1.0 - t * t)
+
+    def g(self, x, order: int = 0) -> tuple:
+        """Spatial cutoff g(x) = exp(-|x|^2 / (2 w^2)) and its gradient if ``order`` is 1.
+
+        Maps points of shape (..., 3) to values (...) and gradients (..., 3);
+        g(0) = 1.
+        """
+        _check_order(order)
+        width = self.config.width_g
+        x = np.asarray(x, dtype=float)
+        value = np.exp(-np.sum(x * x, axis=-1) / (2.0 * width * width))
+        if order == 0:
+            return (value,)
+        return value, (-x / (width * width)) * value[..., None]
 
     def tilde_A(self, x, a_values, *, need_x: bool = True, need_a: bool = True):
         """Mollified potential on Lambda'_2 with optional gradients, batched over points.
@@ -181,7 +161,6 @@ class ModelContext:
         x = np.asarray(x, dtype=float)
         a_values = _field_array(a_values, self.modes3)
         K, E, cols = self.modes2.k, self.frame2, self.cols2
-        mollifiers = self.mollifiers
         n_flat = a_values.shape[-1]
         batch = np.broadcast_shapes(x.shape[:-1], a_values.shape[:-1])
         if len(K) == 0:
@@ -191,12 +170,14 @@ class ModelContext:
                 np.zeros(batch + (3, n_flat)) if need_a else None,
             )
         coeff = a_values[..., cols]                            # (..., N2, 2, 2)
-        psi_vals = mollifiers.psi(coeff)
+        psi_terms = self.psi(coeff, order=int(need_a))
+        psi_vals = psi_terms[0]
         kx = x @ K.T                                           # (..., N2)
         cos_kx = np.cos(kx)[..., None]
         sin_kx = np.sin(kx)[..., None]
         pref = _prefactor(self.config)
-        g_val = np.asarray(mollifiers.g(x), dtype=float)
+        g_terms = self.g(x, order=int(need_x))
+        g_val = g_terms[0]
         scale = (pref * g_val)[..., None]
 
         # The (n, l) sums are GEMMs over 2 N2 rows: E as (2 N2, 3), and for
@@ -213,13 +194,13 @@ class ModelContext:
             dweights = -psi_vals[..., 0] * sin_kx + psi_vals[..., 1] * cos_kx
             k_e = (K[:, None, :, None] * E[:, :, None, :]).reshape(n_rows, 9)
             osc = (dweights.reshape(-1, n_rows) @ k_e).reshape(batch + (3, 3))
-            grad_x = pref * (mollifiers.g_grad(x)[..., :, None] * raw[..., None, :]
+            grad_x = pref * (g_terms[1][..., :, None] * raw[..., None, :]
                              + g_val[..., None, None] * osc)
 
         grad_a = None
         if need_a:
             grad_a = np.zeros(batch + (3, n_flat))
-            psi_d = mollifiers.psi_prime(coeff)                # (..., N2, 2, 2)
+            psi_d = psi_terms[1]                               # (..., N2, 2, 2)
             trig = np.concatenate([cos_kx, sin_kx], axis=-1)   # (..., N2, 2)
             per_var = psi_d * trig[..., None, :]               # (..., N2, 2, 2) for (k, l, i)
             e_mnl = np.moveaxis(E, -1, 0)[..., None]            # (3, N2, 2, 1)
@@ -258,6 +239,11 @@ def _mode_arrays(modes: ModeSet, frame: PolarizationFrame, field_modes: ModeSet)
                       for l in (1, 2)] for wv in modes.lam_prime],
                     dtype=np.intp).reshape(-1, 2, 2)
     return E, cols
+
+
+def _check_order(order: int) -> None:
+    if order not in (0, 1):
+        raise ConfigError(f"mollifier derivatives go up to order 1, got {order}")
 
 
 def _prefactor(config: SimulationConfig) -> float:

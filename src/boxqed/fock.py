@@ -1,10 +1,14 @@
-"""Ladder algebra on truncated oscillator bases, photon states, and H_rad.
+"""Ladder algebra on truncated oscillator bases, photon states, H_rad, and the
+reference Hamiltonian.
 
 Independent field variables live on Lambda' (4N real oscillators, mass 1/|V|,
 frequency c|k|); derived operators over the full Lambda follow by the parity
 rules.  All operator algebra happens in the occupation (Hermite) basis where
 ladder matrices are exact and sparse; coordinate-space formulas are verified
 by quadrature in the test suite instead of being used as the representation.
+The minimal-coupling Hamiltonian tensors that field basis with plane-wave
+particle states, on which momentum is diagonal and the mode functions
+cos(k.x), sin(k.x) shift the waves.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import dft
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import BudgetError, ConfigError, InvariantViolation
@@ -282,7 +285,8 @@ def h_rad(basis: OscillatorBasis) -> OperatorMatrix:
                           hermitian=True)
 
 
-def _psi_variable_matrix(basis: OscillatorBasis, var: int, psi) -> np.ndarray:
+def _psi_variable_matrix(basis: OscillatorBasis, var: int,
+                         ctx: ModelContext) -> np.ndarray:
     """Matrix of the multiplication operator psi(a) on one variable's levels."""
     lam = basis.lambdas()[var]
     nodes, weights = np.polynomial.hermite.hermgauss(_PSI_HERMITE_ORDER)
@@ -293,7 +297,7 @@ def _psi_variable_matrix(basis: OscillatorBasis, var: int, psi) -> np.ndarray:
     for n in range(1, basis.cap):
         levels[n + 1] = (math.sqrt(2.0 / (n + 1)) * nodes * levels[n]
                          - math.sqrt(n / (n + 1.0)) * levels[n - 1])
-    psi_vals = np.asarray(psi(nodes / lam), dtype=float)
+    psi_vals = ctx.psi(nodes / lam)[0]
     return (levels * weights * psi_vals) @ levels.T
 
 
@@ -319,40 +323,18 @@ def _shift_matrices(waves: np.ndarray, s) -> tuple:
 
 
 def _check_flat_g(ctx: ModelContext,
-                  user: str = "the spectral particle representation") -> None:
+                  user: str = "the plane-wave particle basis") -> None:
     """Raise unless g stays within 1e-8 of one at every corner of the box."""
     box = np.asarray(ctx.config.L)
     corners = 0.5 * box * np.array(
         [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
-    drift = max(abs(ctx.mollifiers.g(c) - 1.0) for c in corners)
+    drift = float(np.max(np.abs(ctx.g(corners)[0] - 1.0)))
     if drift > 1e-8:
         raise ConfigError(
             f"{user} needs an effectively flat spatial cutoff; "
             f"g drifts by {drift:.3e} over the box "
-            f"(width_g={ctx.mollifiers.width_g:g})"
+            f"(width_g={ctx.config.width_g:g})"
         )
-
-
-def _grid_momentum(config: SimulationConfig, grid_points: int) -> tuple:
-    """Spectral momentum matrices and flattened grid coordinates."""
-    G = grid_points
-    axes, mom1d = [], []
-    for axis in range(3):
-        length = config.L[axis]
-        axes.append(-0.5 * length + length * np.arange(G) / G)
-        F = dft(G, scale="sqrtn")
-        freqs = np.fft.fftfreq(G, d=1.0 / G)
-        p_diag = config.hbar * 2.0 * math.pi * freqs / length
-        mom1d.append(F.conj().T @ np.diag(p_diag) @ F)
-    eye = sparse.identity(G, format="csr", dtype=complex)
-    P = [
-        sparse.kron(sparse.kron(sparse.csr_matrix(mom1d[0]), eye), eye, format="csr"),
-        sparse.kron(sparse.kron(eye, sparse.csr_matrix(mom1d[1])), eye, format="csr"),
-        sparse.kron(sparse.kron(eye, eye, format="csr"), sparse.csr_matrix(mom1d[2]),
-                    format="csr"),
-    ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return P, mesh
 
 
 def _check_basis_constants(basis: OscillatorBasis, config: SimulationConfig) -> None:
@@ -362,51 +344,23 @@ def _check_basis_constants(basis: OscillatorBasis, config: SimulationConfig) -> 
         raise ConfigError("basis constants disagree with the configuration")
 
 
-def _particle_operators(config: SimulationConfig, ctx: ModelContext,
-                        particle_rep: str, grid_points: int, waves) -> tuple:
-    """One particle's momentum components, p^2, and its field multipliers.
-
-    The third entry maps a wave vector k to the (cos, sin) multiplication
-    operators by g(x) cos(k.x) and g(x) sin(k.x); the plane-wave basis takes
-    g as flat.
-    """
-    if particle_rep == "planewave":
-        p = config.hbar * 2.0 * math.pi * waves / np.asarray(config.L)
-        momenta = [sparse.diags(p[:, c], format="csr", dtype=complex)
-                   for c in range(3)]
-        p_sq = sparse.diags(np.sum(p ** 2, axis=1), format="csr", dtype=complex)
-        return momenta, p_sq, lambda wv: _shift_matrices(waves, wv.s)
-
-    momenta, mesh = _grid_momentum(config, grid_points)
-
-    def multipliers(wv):
-        envelope = np.array([ctx.mollifiers.g(x) for x in mesh])
-        angles = mesh @ np.asarray(wv.k)
-        return (sparse.diags(envelope * np.cos(angles), dtype=complex),
-                sparse.diags(envelope * np.sin(angles), dtype=complex))
-
-    p_sq = momenta[0] @ momenta[0] + momenta[1] @ momenta[1] \
-        + momenta[2] @ momenta[2]
-    return momenta, p_sq, multipliers
-
-
 def assemble_hamiltonian(config: SimulationConfig, basis: OscillatorBasis,
                          particle_rep: str = "planewave",
                          ctx: Optional[ModelContext] = None,
-                         grid_points: int = 6,
                          wave_indices=None) -> OperatorMatrix:
-    """Full Hamiltonian on the field basis tensor a truncated particle basis.
+    """Full Hamiltonian on the field basis tensor a plane-wave particle basis.
 
     Minimal coupling squared, the Coulomb term, and the radiation part; the
-    combined index is field-major (kron(field, particle)).  The spectral
-    plane-wave representation (the unit wave cube unless ``wave_indices``
-    names the waves) needs the spatial cutoff g to be flat over the box; the
-    grid representation applies g pointwise instead.  Coupled assembly
-    handles a single charged particle; any particle count works when every
-    charge vanishes.  The combined dimension is checked against the budget
-    before any operator on the combined space is built.
+    combined index is field-major (kron(field, particle)).  Each particle
+    carries the plane waves exp(2 pi i m.x / L) for m in the unit wave cube,
+    or in ``wave_indices`` when given, so its momentum is diagonal and
+    cos(k.x), sin(k.x) shift the waves; this needs the spatial cutoff g to
+    be flat over the box.  ``particle_rep`` accepts only "planewave".
+    Coupled assembly handles a single charged particle; any particle count
+    works when every charge vanishes.  The combined dimension is checked
+    against the budget before any operator on the combined space is built.
     """
-    if particle_rep not in ("planewave", "grid"):
+    if particle_rep != "planewave":
         raise ConfigError(f"unknown particle representation {particle_rep!r}")
     if ctx is None:
         ctx = ModelContext.custom(config, basis.modes, basis.modes, basis.modes)
@@ -421,19 +375,18 @@ def assemble_hamiltonian(config: SimulationConfig, basis: OscillatorBasis,
     coupled = bool(np.any(charges != 0.0))
     if coupled and n != 1:
         raise ConfigError("coupled assembly supports exactly one charged particle")
-    if particle_rep == "grid" and n != 1:
-        raise ConfigError("the grid representation handles one particle")
-    if particle_rep == "planewave" and coupled:
+    if coupled:
         _check_flat_g(ctx)
     waves = _plane_wave_set(1) if wave_indices is None \
         else np.asarray(wave_indices, dtype=int)
-    one_dim = len(waves) if particle_rep == "planewave" else grid_points ** 3
+    one_dim = len(waves)
     part_dim = one_dim ** n
     if basis.dim * part_dim > _MAX_DIM:
         raise BudgetError("combined basis exceeds the workable dimension")
 
-    momenta, p_sq, multipliers = _particle_operators(config, ctx, particle_rep,
-                                                     grid_points, waves)
+    p = config.hbar * 2.0 * math.pi * waves / np.asarray(config.L)
+    momenta = [sparse.diags(p[:, c], format="csr", dtype=complex) for c in range(3)]
+    p_sq = sparse.diags(np.sum(p ** 2, axis=1), format="csr", dtype=complex)
     kinetic = p_sq / (2.0 * masses[0])
     for m in masses[1:]:
         kinetic = sparse.kron(kinetic, sparse.identity(one_dim, dtype=complex),
@@ -451,11 +404,11 @@ def assemble_hamiltonian(config: SimulationConfig, basis: OscillatorBasis,
         zero = sparse.csr_matrix((basis.dim * part_dim,) * 2, dtype=complex)
         A = [zero] * 3
         for pos, wv in enumerate(ctx.modes2.lam_prime):
-            cos_op, sin_op = multipliers(wv)
+            cos_op, sin_op = _shift_matrices(waves, wv.s)
             for l in (1, 2):
                 psi_cos, psi_sin = (
                     _embed(sparse.csr_matrix(_psi_variable_matrix(
-                        basis, int(var), ctx.mollifiers.psi)), int(var), basis)
+                        basis, int(var), ctx)), int(var), basis)
                     for var in ctx.cols2[pos, l - 1])
                 block = sparse.kron(psi_cos, cos_op, format="csr") \
                     + sparse.kron(psi_sin, sin_op, format="csr")

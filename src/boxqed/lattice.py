@@ -10,6 +10,7 @@ demand, so set membership is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,20 +117,24 @@ class SimulationConfig:
         return cls.from_mapping(raw)
 
     @classmethod
-    def from_mapping(cls, raw: dict) -> "SimulationConfig":
+    def from_mapping(cls, raw: Mapping) -> "SimulationConfig":
         """Read the ``_CONFIG_KEYS`` entries of ``raw``; others are ignored.
 
-        A value takes its default's type; masses and charges are comma lists.
+        Each value is read from its text, as in a file: it takes its
+        default's type, and masses and charges are comma lists.
         """
+        if not isinstance(raw, Mapping):
+            raise ConfigError(
+                f"a configuration is a key = value mapping, got {type(raw).__name__}")
         defaults, fields = cls(), {}
         try:
             for key, (name, index) in _CONFIG_KEYS.items():
                 value = defaults._key_value(key)
+                text = str(raw.get(key, "")).strip()
                 if key in raw and isinstance(value, tuple):
-                    text = str(raw[key]).strip()
                     value = tuple(float(tok) for tok in text.split(",")) if text else ()
                 elif key in raw:
-                    value = type(value)(raw[key])
+                    value = type(value)(text)
                 # the keys of a triple come in index order
                 fields[name] = value if index is None else fields.get(name, ()) + (value,)
             return cls(**fields)
@@ -195,7 +200,6 @@ class ModeSet:
     lam: tuple[WaveVector, ...]
     lam_prime: tuple[WaveVector, ...]
     L: tuple[float, float, float]
-    cutoff: int | None = None
     _prime_index: dict = field(default_factory=dict, compare=False, repr=False)
     k: np.ndarray = field(init=False, compare=False, repr=False)
     k_norm: np.ndarray = field(init=False, compare=False, repr=False)
@@ -226,7 +230,7 @@ class ModeSet:
         return s in self._prime_index
 
     @classmethod
-    def from_s_triples(cls, triples, L, cutoff=None) -> "ModeSet":
+    def from_s_triples(cls, triples, L) -> "ModeSet":
         """Build a mode set from explicit halved representatives.
 
         Used for desk-scale studies that need a hand-picked Lambda' (for
@@ -245,7 +249,7 @@ class ModeSet:
         full = sorted(
             [wv for wv in prime] + [wv.negated() for wv in prime], key=lambda wv: wv.s
         )
-        return cls(lam=tuple(full), lam_prime=tuple(prime), L=tuple(L), cutoff=cutoff)
+        return cls(lam=tuple(full), lam_prime=tuple(prime), L=tuple(L))
 
 
 def build_mode_set(config: SimulationConfig, which: int) -> ModeSet:
@@ -260,7 +264,7 @@ def build_mode_set(config: SimulationConfig, which: int) -> ModeSet:
     span = range(-M, M + 1)
     prime = [(s1, s2, s3) for s1 in span for s2 in span for s3 in span
              if _positive_representative((s1, s2, s3))]
-    return ModeSet.from_s_triples(prime, config.L, cutoff=M)
+    return ModeSet.from_s_triples(prime, config.L)
 
 
 @dataclass(frozen=True)

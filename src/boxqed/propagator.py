@@ -408,7 +408,7 @@ class GalerkinStep(_Step):
         omega = config.c_light * ctx.modes2.lam_prime[0].norm
         amax = 8.0 * math.sqrt(config.hbar * config.volume / omega)
         grid = np.linspace(-amax, amax, 33)
-        dev = float(np.max(np.abs(ctx.mollifiers.psi(grid) - grid)))
+        dev = float(np.max(np.abs(ctx.psi(grid)[0] - grid)))
         if dev > 1e-6 * amax:
             raise ConfigError(
                 "the galerkin kernel assembly needs psi to act linearly over the "
@@ -600,14 +600,6 @@ _FD_SCALE = 1e-5
 class PhiMapPoint:
     """Phi maps at one endpoint configuration with their Jacobian record."""
 
-    t: float
-    s: float
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
     phi: np.ndarray          # (n, 3) per-particle map
     phi1: np.ndarray         # (4N,) field map
     jacobian_det: Optional[float]
@@ -753,7 +745,7 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
 
     det = _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol) \
         if jacobian else None
-    return PhiMapPoint(t, s, x, y, z, X, Y, Z, phi, phi1, det, residual)
+    return PhiMapPoint(phi, phi1, det, residual)
 
 
 def _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol):

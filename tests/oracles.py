@@ -94,9 +94,18 @@ def step_matrix_by_quadrature(rho, omega, cap, hbar, volume,
     return out * dx * dx
 
 
-def looped_tilde_A(x, a, modes, frame, mollifiers, config):
-    """Scalar-loop version of the mollified potential, no vectorization."""
+def looped_tilde_A(x, a, modes, frame, config):
+    """Scalar-loop version of the mollified potential, no vectorization.
+
+    The mollifiers are written out here from their definitions,
+    psi(t) = sigma tanh(t / sigma) and g(x) = exp(-|x|^2 / (2 w^2)).
+    """
     x = np.asarray(x, dtype=float)
+    sigma, width = config.sigma_psi, config.width_g
+
+    def psi(t):
+        return sigma * math.tanh(t / sigma)
+
     pref = np.sqrt(4.0 * np.pi) * config.c_light / config.volume * np.sqrt(2.0)
     out = np.zeros(3)
     for wv in modes.lam_prime:
@@ -105,9 +114,9 @@ def looped_tilde_A(x, a, modes, frame, mollifiers, config):
         for l, evec in ((1, e1), (2, e2)):
             a1 = a.entry(l, wv.s, 1)
             a2 = a.entry(l, wv.s, 2)
-            out += (float(mollifiers.psi(a1)) * np.cos(kx)
-                    + float(mollifiers.psi(a2)) * np.sin(kx)) * np.asarray(evec)
-    return pref * mollifiers.g(x) * out
+            out += (psi(a1) * np.cos(kx) + psi(a2) * np.sin(kx)) * np.asarray(evec)
+    g = math.exp(-sum(c * c for c in x) / (2.0 * width * width))
+    return pref * g * out
 
 
 def looped_earlier_integrand(thetas, rho, z_part, y_part, Z_f, Y_f, ctx):

@@ -370,8 +370,7 @@ def test_criterion_06_propagator_convergence():
     gctx = ModelContext.custom(gconf, EMPTY, ONE_MODE, ONE_MODE)
     gbasis = OscillatorBasis(ONE_MODE, cap=2, volume=gconf.volume)
     gback = StepBackend("galerkin", gbasis, gctx)
-    hamiltonian = assemble_hamiltonian(gconf, gbasis,
-                                       particle_rep="planewave", ctx=gctx,
+    hamiltonian = assemble_hamiltonian(gconf, gbasis, ctx=gctx,
                                        wave_indices=ZLINE_WAVES)
     start = np.zeros(gbasis.dim * 7, dtype=complex)
     start[3] = 1.0

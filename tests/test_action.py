@@ -14,8 +14,6 @@ from boxqed.action import (
     Subdivision,
     broken_action,
     constraint_identity_check,
-    external_field_terms,
-    phi_path_action,
     scalar_offset_term,
     segment_action,
 )
@@ -372,15 +370,7 @@ class TestConstraintIdentity:
 
 
 class TestPhiPathAction:
-    def test_zero_offset_is_exactly_base(self):
-        ctx = single_mode_ctx()
-        x = np.array([[0.0, 0.4, 0.0]])
-        y = np.array([[1.0, 0.0, 0.2]])
-        X = np.full(4, 0.3)
-        Y = np.zeros(4)
-        xi = np.zeros((1, 2))
-        assert phi_path_action(1.0, 0.0, x, y, X, Y, xi, ctx) == \
-            segment_action(1.0, 0.0, x, y, X, Y, ctx)
+    """The scalar-offset cost that ``broken_action`` adds on a phi-shifted path."""
 
     def test_unit_mode_offset_adds_one(self):
         ctx = single_mode_ctx()
@@ -399,38 +389,3 @@ class TestPhiPathAction:
         ctx = single_mode_ctx()
         with pytest.raises(ConfigError):
             scalar_offset_term(1.0, 0.0, np.zeros((2, 2)), ctx)
-
-
-class TestExternalFields:
-    def two_particle_ctx(self, charges=(1.0, -0.5)):
-        return single_mode_ctx(n_particles=2, masses=(1.0, 1.0), charges=charges)
-
-    def test_constant_scalar_potential(self):
-        ctx = self.two_particle_ctx()
-        x = np.zeros((2, 3))
-        y = np.ones((2, 3))
-        v0 = 2.5
-        got = external_field_terms(1.5, 0.5, x, y, None, lambda tt, p: v0, ctx)
-        expected = -1.0 * sum(ctx.config.charges) * v0
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_uniform_vector_potential(self):
-        ctx = self.two_particle_ctx()
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-1.0, 1.0, size=(2, 3))
-        y = rng.uniform(-1.0, 1.0, size=(2, 3))
-        a0 = 0.75
-        got = external_field_terms(
-            2.0, 1.0, x, y, lambda tt, p: np.array([a0, 0.0, 0.0]), None, ctx)
-        expected = sum(
-            e * a0 * (x[j, 0] - y[j, 0]) / ctx.config.c_light
-            for j, e in enumerate(ctx.config.charges)
-        )
-        assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_neutral_particles_contribute_nothing(self):
-        ctx = self.two_particle_ctx(charges=(0.0, 0.0))
-        got = external_field_terms(
-            1.0, 0.0, np.zeros((2, 3)), np.ones((2, 3)),
-            lambda tt, p: np.ones(3), lambda tt, p: 4.0, ctx)
-        assert got == 0.0

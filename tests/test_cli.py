@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from boxqed.cli import _params_from_args, build_parser, main
+from boxqed.cli import _parse_params, build_parser, main
+
+
+DELETE = object()
 
 
 def run(argv):
@@ -57,7 +60,8 @@ class TestDefaults:
     @pytest.mark.parametrize("command", DEFAULT_PARAMS)
     def test_default_params(self, tmp_path, command):
         argv = command.split() + ["--out", str(tmp_path)]
-        params = _params_from_args(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        params = _parse_params(args.subcommand, vars(args))
         assert json.dumps(params, sort_keys=True) \
             == json.dumps(DEFAULT_PARAMS[command], sort_keys=True)
 
@@ -223,6 +227,44 @@ class TestExitCodes:
             manifest.write_text(text)
         out = tmp_path / "o"
         code = run(["rerun", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # one edit of a recorded manifest each; rerun must read it as strictly
+    # as the command line reads its flags and configuration file
+    @pytest.mark.parametrize("subcommand,section,key,value", [
+        ("modes", None, "config", "oops"),
+        ("modes", "params", "bogus", 3),
+        ("modes", "config", "M1", 1.5),
+        ("modes", "config", "L1", None),
+        ("action-eval", "params", "samples", "x"),
+        ("action-eval", "params", "t", DELETE),
+        ("action-eval", None, "seed", "x"),
+        ("action-eval", None, "seed", 1.5),
+        ("propagate", "params", "backend", "bogus"),
+        ("modes", None, "subcommand", ["modes"]),
+        ("modes", None, "outputs", "modes.csv"),
+    ], ids=["config-string", "unknown-param", "fractional-M1", "null-L1",
+            "text-samples", "missing-t", "text-seed", "fractional-seed",
+            "unknown-backend", "list-subcommand", "string-outputs"])
+    def test_malformed_manifest_exits_two(self, tmp_path, capsys, subcommand,
+                                          section, key, value):
+        argv = [subcommand, "--out", str(tmp_path / "run")]
+        if subcommand == "propagate":
+            argv += ["--segments", "1"]
+        assert run(argv) == 0
+        manifest = read_manifest(tmp_path / "run")
+        target = manifest if section is None else manifest[section]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        capsys.readouterr()
+        code = run(["rerun", "--manifest", str(path), "--out", str(out)])
         assert code == 2
         assert "configuration error:" in capsys.readouterr().err
         assert not out.exists()

@@ -12,7 +12,6 @@ from boxqed.errors import ConfigError
 from boxqed.field import (
     FieldVector,
     ModelContext,
-    MollifierPair,
     extend_parity,
     potential_V2,
     reconstruct_A,
@@ -154,33 +153,41 @@ class TestReconstruction:
 
 class TestMollifiers:
     def test_psi_odd_and_near_identity(self):
-        config = SimulationConfig(sigma_psi=50.0)
-        moll = MollifierPair.defaults(config)
+        ctx = ModelContext.from_config(SimulationConfig(sigma_psi=50.0))
         for theta in (0.1, 1.7, 42.0, 3.3e2):
-            assert float(moll.psi(theta)) + float(moll.psi(-theta)) == 0.0
-        assert float(moll.psi(0.01)) == pytest.approx(0.01, rel=1e-7)
+            assert float(ctx.psi(theta)[0]) + float(ctx.psi(-theta)[0]) == 0.0
+        assert float(ctx.psi(0.01)[0]) == pytest.approx(0.01, rel=1e-7)
         # Bounded by sigma.
-        assert abs(float(moll.psi(1e9))) <= 50.0
+        assert abs(float(ctx.psi(1e9)[0])) <= 50.0
 
     def test_g_at_origin_and_gradient(self):
-        config = SimulationConfig(width_g=3.0)
-        moll = MollifierPair.defaults(config)
-        assert moll.g(np.zeros(3)) == 1.0
+        ctx = ModelContext.from_config(SimulationConfig(width_g=3.0))
+        assert ctx.g(np.zeros(3))[0] == 1.0
         x = np.array([0.4, -1.0, 2.2])
+        value, grad = ctx.g(x, order=1)
+        assert value == ctx.g(x)[0]
         h = 1e-6
         for m in range(3):
             step = np.zeros(3)
             step[m] = h
-            fd = (moll.g(x + step) - moll.g(x - step)) / (2.0 * h)
-            assert moll.g_grad(x)[m] == pytest.approx(fd, rel=1e-7, abs=1e-12)
+            fd = (ctx.g(x + step)[0] - ctx.g(x - step)[0]) / (2.0 * h)
+            assert grad[m] == pytest.approx(fd, rel=1e-7, abs=1e-12)
 
     def test_psi_prime_matches_difference(self):
-        config = SimulationConfig(sigma_psi=0.8)
-        moll = MollifierPair.defaults(config)
+        ctx = ModelContext.from_config(SimulationConfig(sigma_psi=0.8))
         for theta in (-2.0, -0.3, 0.0, 0.5, 1.9):
+            value, slope = ctx.psi(theta, order=1)
+            assert value == ctx.psi(theta)[0]
             h = 1e-6
-            fd = (float(moll.psi(theta + h)) - float(moll.psi(theta - h))) / (2.0 * h)
-            assert float(moll.psi_prime(theta)) == pytest.approx(fd, rel=1e-8, abs=1e-10)
+            fd = (float(ctx.psi(theta + h)[0]) - float(ctx.psi(theta - h)[0])) / (2.0 * h)
+            assert float(slope) == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("order", [-1, 2])
+    def test_orders_beyond_one_are_rejected(self, ctx, order):
+        with pytest.raises(ConfigError, match="order"):
+            ctx.psi(0.5, order=order)
+        with pytest.raises(ConfigError, match="order"):
+            ctx.g(np.zeros(3), order=order)
 
 
 def tilde_value(ctx, x, values):
@@ -213,7 +220,7 @@ class TestTildeA:
         vec = random_field(ctx.modes3, seed=13)
         for x in (np.zeros(3), np.array([0.8, -0.2, 1.5])):
             got = tilde_value(ctx, x, vec.values)
-            want = looped_tilde_A(x, vec, ctx.modes2, ctx.frame, ctx.mollifiers, ctx.config)
+            want = looped_tilde_A(x, vec, ctx.modes2, ctx.frame, ctx.config)
             assert np.allclose(got, want, atol=1e-13)
 
     def test_gradients_match_finite_differences(self):

@@ -434,23 +434,15 @@ class TestAssembly:
         config = coupled_config(width_g=1.0)
         modes = ModeSet.from_s_triples([K_REP], config.L)
         basis = OscillatorBasis.from_config(config, modes, 1)
-        with pytest.raises(ConfigError):
-            assemble_hamiltonian(config, basis, particle_rep="planewave")
-        H = assemble_hamiltonian(config, basis, particle_rep="grid", grid_points=4)
-        assert H.hermitian
+        with pytest.raises(ConfigError, match="flat spatial cutoff"):
+            assemble_hamiltonian(config, basis)
 
-    def test_grid_kinetic_spectrum_is_spectral(self):
-        config = base_config(n_particles=1, masses=(1.5,), charges=(0.0,))
-        modes = ModeSet.from_s_triples([K_REP], config.L)
-        basis = OscillatorBasis.from_config(config, modes, 1)
-        H = assemble_hamiltonian(config, basis, particle_rep="grid", grid_points=4)
-        vals = np.linalg.eigvalsh(H.matrix.toarray())
-        freqs = np.fft.fftfreq(4, d=1.0 / 4)
-        kin = np.array([(a * a + b * b + c * c) for a in freqs for b in freqs
-                        for c in freqs]) * (2.0 * math.pi / TWO_PI) ** 2 / (2.0 * 1.5)
-        rad = np.real(h_rad(basis).matrix.diagonal())
-        expected = np.sort((rad[:, None] + kin[None, :]).ravel())
-        assert np.max(np.abs(vals - expected)) <= 1e-9
+    def test_plane_waves_are_the_only_particle_basis(self):
+        config = coupled_config()
+        basis = OscillatorBasis.from_config(
+            config, ModeSet.from_s_triples([K_REP], config.L), 1)
+        with pytest.raises(ConfigError, match="particle representation"):
+            assemble_hamiltonian(config, basis, particle_rep="grid")
 
     def test_transverse_momentum_commutes_exactly(self):
         config = coupled_config()
@@ -487,8 +479,7 @@ class TestAssembly:
         defect = H.matrix @ (p_total @ start) - p_total @ h_start
         assert np.linalg.norm(defect) <= 1e-8 * np.linalg.norm(h_start)
 
-    @pytest.mark.parametrize("rep,part_dim", [("planewave", 27), ("grid", 64)])
-    def test_dimension_guard_runs_before_any_kron(self, monkeypatch, rep, part_dim):
+    def test_dimension_guard_runs_before_any_kron(self, monkeypatch):
         config = coupled_config()
         basis = OscillatorBasis.from_config(
             config, ModeSet.from_s_triples([K_REP], config.L), 2)
@@ -503,9 +494,10 @@ class TestAssembly:
 
         monkeypatch.setattr(sparse, "kron", spy("kron", kron))
         monkeypatch.setattr(fock, "_psi_variable_matrix", spy("psi", psi_matrix))
-        monkeypatch.setattr(fock, "_MAX_DIM", basis.dim * part_dim - 1)
+        # 27 plane waves in the unit wave cube
+        monkeypatch.setattr(fock, "_MAX_DIM", basis.dim * 27 - 1)
         with pytest.raises(BudgetError, match="workable dimension"):
-            assemble_hamiltonian(config, basis, particle_rep=rep, grid_points=4)
+            assemble_hamiltonian(config, basis)
         assert calls == []
 
 
@@ -547,8 +539,7 @@ class TestReferenceEvolve:
         ctx = ModelContext.custom(config, empty, one, one)
         basis = OscillatorBasis(one, cap=2, volume=config.volume)
         waves = np.array([(0, 0, m) for m in range(-3, 4)])
-        hamiltonian = assemble_hamiltonian(config, basis,
-                                           particle_rep="planewave", ctx=ctx,
+        hamiltonian = assemble_hamiltonian(config, basis, ctx=ctx,
                                            wave_indices=waves)
         assert hamiltonian.dim == 567
         rng = np.random.default_rng(6)

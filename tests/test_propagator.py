@@ -770,8 +770,7 @@ class TestGalerkinBackend:
     def test_coupled_step_converges_to_reference(self):
         config, ctx, basis = galerkin_parts(0.9)
         backend = StepBackend("galerkin", basis, ctx)
-        hamiltonian = assemble_hamiltonian(config, basis,
-                                           particle_rep="planewave", ctx=ctx,
+        hamiltonian = assemble_hamiltonian(config, basis, ctx=ctx,
                                            wave_indices=ZLINE_WAVES)
         start = np.zeros(basis.dim * 7, dtype=complex)
         start[3] = 1.0      # field vacuum, particle momentum zero
