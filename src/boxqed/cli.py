@@ -68,6 +68,20 @@ def _list(convert, may_be_empty=False):
 _floats, _ints = _list(float), _list(int)
 
 
+def _s_triple(text):
+    values = _ints(text)
+    if len(values) != 3:
+        raise ValueError(f"needs three integers, got {len(values)}")
+    return values
+
+
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(value):
     if isinstance(value, str):
         return value
@@ -249,6 +263,7 @@ def _run_rho_star(params, config, seed):
         "rho_star": result.value,
         "ceiling_hit": result.ceiling_hit,
         "min_det_at_value": result.min_det_at_value,
+        "undecided_probes": list(result.undecided),
     }
 
 
@@ -368,7 +383,7 @@ def _by_backend(analytic, galerkin):
         else analytic
 
 
-_MODE = _Flag("mode", _ints, (0, 0, 1))
+_MODE = _Flag("mode", _s_triple, (0, 0, 1))
 
 _SUBCOMMANDS = {
     "modes": (
@@ -389,7 +404,7 @@ _SUBCOMMANDS = {
          _Flag("cap", int, 2))),
     "action-eval": (
         _run_action_eval, "segment actions at seeded random endpoints",
-        (_Flag("samples", int, 5), _Flag("t", float, 0.5),
+        (_Flag("samples", _count, 5), _Flag("t", float, 0.5),
          _Flag("s", float, 0.0))),
     "propagate": (
         _run_propagate, "composed-step convergence study",

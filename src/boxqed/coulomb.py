@@ -412,6 +412,28 @@ def v1_gradient(positions, charges, modes: ModeSet,
     return (TWO_PI / config.volume) * 4.0 * grad
 
 
+def v1_hessian(positions, charges, modes: ModeSet,
+               config: SimulationConfig) -> np.ndarray:
+    """Second derivatives of the finite-mode Coulomb energy, batched like
+    ``potential_V1``: shape (..., n, 3, n, 3), indexed (j, c, l, d) for
+    d^2 V1 / dx_{j,c} dx_{l,d}.
+
+    A cosine sum: the pair (j, l) adds e_j e_l cos(k.(x_j - x_l)) k_c k_d
+    / |k|^2 off the diagonal, and minus its sum over l on the (j, j) block.
+    """
+    x, e, phases = _pair_phases(positions, charges, modes)
+    n = x.shape[-2]
+    if phases is None:
+        return np.zeros(x.shape + (n, 3))
+    pair = np.einsum("j,l->jl", e, e)
+    np.fill_diagonal(pair, 0.0)
+    k_k = (modes.k[:, :, None] * modes.k[:, None, :]).reshape(-1, 9)
+    cross = (pair[:, :, None] * ((np.cos(phases) * (1.0 / modes.k_norm ** 2)) @ k_k)
+             ).reshape(phases.shape[:-1] + (3, 3))               # (..., j, l, c, d)
+    own = np.eye(n)[:, None, :, None] * cross.sum(axis=-3)[..., :, :, None, :]
+    return (TWO_PI / config.volume) * 4.0 * (np.swapaxes(cross, -3, -2) - own)
+
+
 def richardson_limit(value_fine: float, value_coarse: float) -> float:
     """Limit estimate 2 f(L) - f(L/2) for sequences with leading 1/L error."""
     return 2.0 * value_fine - value_coarse

@@ -122,21 +122,27 @@ class ModelContext:
         return np.repeat(self.config.c_light * self.modes3.k_norm, 4)
 
     def psi(self, theta, order: int = 0) -> tuple:
-        """Amplitude damping psi(t) = sigma tanh(t / sigma) and psi' if ``order`` is 1.
+        """Amplitude damping psi(t) = sigma tanh(t / sigma) and its derivatives.
 
-        Odd, with all derivatives decaying, and close to the identity for
+        Returns psi and, up to ``order`` (at most 2), psi' and psi''.  Odd,
+        with all derivatives decaying, and close to the identity for
         |t| << sigma.  Acts elementwise on arrays of any shape.
         """
         _check_order(order)
         sigma = self.config.sigma_psi
         t = np.tanh(np.asarray(theta, dtype=float) / sigma)
-        return (sigma * t,) if order == 0 else (sigma * t, 1.0 - t * t)
+        if order == 0:
+            return (sigma * t,)
+        slope = 1.0 - t * t
+        if order == 1:
+            return sigma * t, slope
+        return sigma * t, slope, (-2.0 / sigma) * t * slope
 
     def g(self, x, order: int = 0) -> tuple:
-        """Spatial cutoff g(x) = exp(-|x|^2 / (2 w^2)) and its gradient if ``order`` is 1.
+        """Spatial cutoff g(x) = exp(-|x|^2 / (2 w^2)) and its derivatives.
 
-        Maps points of shape (..., 3) to values (...) and gradients (..., 3);
-        g(0) = 1.
+        Maps points of shape (..., 3) to values (...), gradients (..., 3) if
+        ``order`` is at least 1 and Hessians (..., 3, 3) if it is 2; g(0) = 1.
         """
         _check_order(order)
         width = self.config.width_g
@@ -144,10 +150,16 @@ class ModelContext:
         value = np.exp(-np.sum(x * x, axis=-1) / (2.0 * width * width))
         if order == 0:
             return (value,)
-        return value, (-x / (width * width)) * value[..., None]
+        grad = (-x / (width * width)) * value[..., None]
+        if order == 1:
+            return value, grad
+        hess = (x[..., :, None] * x[..., None, :] / width**2 - np.eye(3)) \
+            * (value / (width * width))[..., None, None]
+        return value, grad, hess
 
-    def tilde_A(self, x, a_values, *, need_x: bool = True, need_a: bool = True):
-        """Mollified potential on Lambda'_2 with optional gradients, batched over points.
+    def tilde_A(self, x, a_values, *, need_x: bool = True, need_a: bool = True,
+                second: bool = False):
+        """Mollified potential on Lambda'_2 with optional derivatives, batched over points.
 
         psi acts on each field coordinate and g(x) scales the sum.  ``x`` has
         shape (..., 3) and ``a_values`` shape (..., 4N) on the flat Lambda'_3
@@ -157,26 +169,37 @@ class ModelContext:
         grad_x[..., m, l] = d(tilde_A_l)/dx_m and
         grad_a[..., m, v] = d(tilde_A_m)/da_v.  Entries not requested come
         back as None.
+
+        With ``second`` on, both gradients are computed and three second
+        derivatives follow: hess_xx B + (3, 3, 3), hess_xa B + (3, 3, 4N) and
+        hess_aa B + (3, 4N), where
+        hess_xx[..., c, m, l] = d^2(tilde_A_l)/dx_c dx_m,
+        hess_xa[..., m, l, v] = d^2(tilde_A_l)/dx_m da_v and
+        hess_aa[..., l, v] = d^2(tilde_A_l)/da_v^2.  Each field variable
+        enters through one psi, so the a-a Hessian is diagonal and
+        ``hess_aa`` holds that diagonal.
         """
         x = np.asarray(x, dtype=float)
         a_values = _field_array(a_values, self.modes3)
         K, E, cols = self.modes2.k, self.frame2, self.cols2
         n_flat = a_values.shape[-1]
         batch = np.broadcast_shapes(x.shape[:-1], a_values.shape[:-1])
+        need_x = need_x or second
+        need_a = need_a or second
         if len(K) == 0:
-            return (
-                np.zeros(batch + (3,)),
-                np.zeros(batch + (3, 3)) if need_x else None,
-                np.zeros(batch + (3, n_flat)) if need_a else None,
-            )
+            shapes = [(3,), (3, 3) if need_x else None, (3, n_flat) if need_a else None]
+            if second:
+                shapes += [(3, 3, 3), (3, 3, n_flat), (3, n_flat)]
+            return tuple(None if shape is None else np.zeros(batch + shape)
+                         for shape in shapes)
         coeff = a_values[..., cols]                            # (..., N2, 2, 2)
-        psi_terms = self.psi(coeff, order=int(need_a))
+        psi_terms = self.psi(coeff, order=2 if second else int(need_a))
         psi_vals = psi_terms[0]
         kx = x @ K.T                                           # (..., N2)
         cos_kx = np.cos(kx)[..., None]
         sin_kx = np.sin(kx)[..., None]
         pref = _prefactor(self.config)
-        g_terms = self.g(x, order=int(need_x))
+        g_terms = self.g(x, order=2 if second else int(need_x))
         g_val = g_terms[0]
         scale = (pref * g_val)[..., None]
 
@@ -199,15 +222,44 @@ class ModelContext:
 
         grad_a = None
         if need_a:
-            grad_a = np.zeros(batch + (3, n_flat))
-            psi_d = psi_terms[1]                               # (..., N2, 2, 2)
-            trig = np.concatenate([cos_kx, sin_kx], axis=-1)   # (..., N2, 2)
-            per_var = psi_d * trig[..., None, :]               # (..., N2, 2, 2) for (k, l, i)
-            e_mnl = np.moveaxis(E, -1, 0)[..., None]            # (3, N2, 2, 1)
-            contrib = scale[..., None, None, None] * (per_var[..., None, :, :, :] * e_mnl)
-            grad_a[..., cols.ravel()] = contrib.reshape(batch + (3, -1))
+            # per coupled variable v = (k, l, i), flat in the order of cols:
+            # its mode's wave vector, its polarization e_l, psi'(a_v) and
+            # trig_i(k.x), with trig = (cos, sin)
+            def per_variable(values):        # (..., N2, 2, 2) by (k, l, i)
+                return values.reshape(values.shape[:-3] + (cols.size,))
 
-        return value, grad_x, grad_a
+            def per_mode(pair):              # (..., N2, 2) by (k, i)
+                return per_variable(np.broadcast_to(pair[..., None, :],
+                                                    pair.shape[:-1] + (2, 2)))
+
+            k_var = np.repeat(K, 4, axis=0).T                   # (3, 4 N2)
+            e_var = np.repeat(E, 2, axis=1).reshape(-1, 3).T    # (3, 4 N2)
+            psi_slope = per_variable(psi_terms[1])
+            trig_var = per_mode(np.concatenate([cos_kx, sin_kx], axis=-1))
+            per_var = psi_slope * trig_var
+            grad_a = _on_columns(scale[..., None] * (per_var[..., None, :] * e_var),
+                                 cols, n_flat)
+        if not second:
+            return value, grad_x, grad_a
+
+        # The x-x sum is one more GEMM, with K (x) K (x) E as (2 N2, 27):
+        # d^2(weights)/dx_c dx_m = -k_c k_m weights.
+        k_k_e = (K[:, None, :, None, None] * K[:, None, None, :, None]
+                 * E[:, :, None, None, :]).reshape(n_rows, 27)
+        osc2 = -(weights.reshape(-1, n_rows) @ k_k_e).reshape(batch + (3, 3, 3))
+        g_grad = g_terms[1]
+        hess_xx = pref * (g_terms[2][..., :, :, None] * raw[..., None, None, :]
+                          + g_grad[..., None, :, None] * osc[..., :, None, :]
+                          + g_grad[..., :, None, None] * osc[..., None, :, :]
+                          + g_val[..., None, None, None] * osc2)
+        # d(trig_i)/d(k.x): cos -> -sin, sin -> cos
+        dper_var = psi_slope * per_mode(np.concatenate([-sin_kx, cos_kx], axis=-1))
+        slope_x = pref * (g_grad[..., :, None] * per_var[..., None, :]
+                          + g_val[..., None, None] * k_var * dper_var[..., None, :])
+        hess_xa = _on_columns(slope_x[..., :, None, :] * e_var, cols, n_flat)
+        curve = per_variable(psi_terms[2]) * trig_var
+        hess_aa = _on_columns(scale[..., None] * (curve[..., None, :] * e_var), cols, n_flat)
+        return value, grad_x, grad_a, hess_xx, hess_xa, hess_aa
 
 
 def extend_parity(a: FieldVector) -> dict:
@@ -241,9 +293,20 @@ def _mode_arrays(modes: ModeSet, frame: PolarizationFrame, field_modes: ModeSet)
     return E, cols
 
 
+def _on_columns(per_var: np.ndarray, cols: np.ndarray, n_flat: int) -> np.ndarray:
+    """Entries (..., 4 N2) of the coupled variables, in the order of ``cols``,
+    on the flat field layout of length ``n_flat``, zero elsewhere."""
+    flat = cols.ravel()
+    if n_flat == len(flat) and np.array_equal(flat, np.arange(n_flat)):
+        return per_var                  # the coupled variables are the field
+    out = np.zeros(per_var.shape[:-1] + (n_flat,))
+    out[..., flat] = per_var
+    return out
+
+
 def _check_order(order: int) -> None:
-    if order not in (0, 1):
-        raise ConfigError(f"mollifier derivatives go up to order 1, got {order}")
+    if order not in (0, 1, 2):
+        raise ConfigError(f"mollifier derivatives go up to order 2, got {order}")
 
 
 def _prefactor(config: SimulationConfig) -> float:

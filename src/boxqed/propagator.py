@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .action import Subdivision, _field_values, _particle_values, segment_action
-from .coulomb import v1_gradient
+from .coulomb import v1_gradient, v1_hessian
 from .errors import BudgetError, ConfigError, InvariantViolation
 from .field import ModelContext, v2_gradient
 from .fock import (
@@ -588,12 +588,10 @@ def residual_study(f: StateVector, backend: _Step, rho_list,
 # Endpoint-difference maps
 # ---------------------------------------------------------------------------
 
-# Cap in bytes on the theta panel of one joint phi-map quadrature: 16 theta
-# by 16 sigma nodes by the endpoints in a group by the widest per-point block.
+# Cap in bytes on the theta panel of one phi-map quadrature: 16 theta by 16
+# sigma nodes by the widest per-point block, which holds the dim values and,
+# for a Jacobian, the entries of ``_jacobian_blocks``.
 _PHI_PANEL_BYTES = 64 * 2**20
-
-# Central-difference step of the phi-map Jacobian, relative to max(1, |entry|).
-_FD_SCALE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -603,17 +601,28 @@ class PhiMapPoint:
     phi: np.ndarray          # (n, 3) per-particle map
     phi1: np.ndarray         # (4N,) field map
     jacobian_det: Optional[float]
+    det_bound: Optional[float]      # first-order error bound of jacobian_det
     identity_residual: Optional[float]
 
 
-def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
+def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext,
+                       jacobian: bool = False):
     """Theta integrand of the earlier-endpoint gradient, or None when it vanishes.
 
     The endpoints may carry leading batch axes E that broadcast together:
     ``z_part`` and ``y_part`` (E..., n, 3), ``Z_f`` and ``Y_f`` (E..., 4N).
-    The returned function maps theta nodes (T,) to rows (T, E..., 3n + 4N):
-    the particle block flattened per point, then the field block.  All nodes
-    of a quadrature panel and all batch points are evaluated in one call.
+    The returned function maps theta nodes (T,) to rows (T, E..., dim),
+    dim = 3n + 4N: the particle block flattened per point, then the field
+    block.  All nodes of a quadrature panel and all batch points are
+    evaluated in one call.
+
+    With ``jacobian`` on, each row also carries the derivative of those dim
+    entries with respect to the later endpoint (z, Z), after them in the
+    block layout of ``_jacobian_blocks``: rows (T, E..., dim + blocks).  The
+    later endpoint enters through q = (1 - theta) z + theta y,
+    a = (1 - theta) Z + theta Y and the displacement z - y, so the
+    derivatives need the V1 Hessian, the V2 frequencies and the second
+    derivatives of ``ModelContext.tilde_A``.
     """
     config = ctx.config
     n = config.n_particles
@@ -627,6 +636,9 @@ def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
     disp = z_part - y_part
     batch = np.broadcast_shapes(disp.shape[:-2], np.shape(Z_f)[:-1],
                                 np.shape(Y_f)[:-1])
+    dim = 3 * n + ctx.n_field
+    omega_sq = np.repeat((config.c_light * ctx.modes3.k_norm) ** 2, 4) \
+        / config.volume
 
     def integrand(th):
         lead = th.shape + batch
@@ -636,65 +648,137 @@ def _earlier_integrand(rho: float, z_part, y_part, Z_f, Y_f, ctx: ModelContext):
         a_vals = (1.0 - th)[..., None] * Z_f + th[..., None] * Y_f
         rows_y = np.zeros(lead + (n, 3))
         rows_Y = np.zeros(lead + (ctx.n_field,))
+        if jacobian:
+            jac_y = np.zeros(lead + (3 * n, dim))
+            jac_Yz = np.zeros(lead + (ctx.n_field, 3 * n))
+            jac_Y = np.zeros(lead + (ctx.n_field,))
+            later = 1.0 - th                         # d(q)/dz and d(a)/dZ
         if has_v1:
             rows_y -= weight[..., None, None] * v1_gradient(q, charges, ctx.modes1, config)
+            if jacobian:
+                hess = v1_hessian(q, charges, ctx.modes1, config)
+                jac_y[..., :3 * n] -= (weight * later)[..., None, None] \
+                    * hess.reshape(lead + (3 * n, 3 * n))
         if has_v2:
             rows_Y -= weight[..., None] * v2_gradient(a_vals, ctx.modes3, config)
+            if jacobian:
+                jac_Y -= (weight * later)[..., None] * omega_sq
         for j in coupled:
-            value, grad_x, grad_a = ctx.tilde_A(q[..., j, :], a_vals)
+            parts = ctx.tilde_A(q[..., j, :], a_vals, second=jacobian)
+            value, grad_x, grad_a = parts[:3]
             factor = charges[j] / config.c_light
             directional = (grad_x @ disp[..., j, :, None])[..., 0]
             rows_y[..., j, :] += factor * (-value + th[..., None] * directional)
             rows_Y += (factor * th)[..., None] * (disp[..., j, None, :] @ grad_a)[..., 0, :]
-        return np.concatenate([rows_y.reshape(lead + (3 * n,)), rows_Y], axis=-1)
+            if not jacobian:
+                continue
+            # second derivatives along the displacement d = z_j - y_j:
+            # along_xx[c, m] = sum_l d_l d^2 A_l / dx_c dx_m, along_xa[m, v] =
+            # sum_l d_l d^2 A_l / dx_m da_v, along_aa[v] = sum_l d_l d^2 A_l / da_v^2
+            hess_xx, hess_xa, hess_aa = parts[3:]
+            d = disp[..., j, :]
+            along_xx = (hess_xx @ d[..., None, :, None])[..., 0]
+            along_xa = (d[..., None, None, :] @ hess_xa)[..., 0, :]
+            along_aa = (d[..., None, :] @ hess_aa)[..., 0, :]
+            t2, u2 = th[..., None, None], later[..., None, None]
+            rows = slice(3 * j, 3 * j + 3)
+            jac_y[..., rows, rows] += factor * (t2 * grad_x - u2 * np.swapaxes(grad_x, -1, -2)
+                                                + t2 * u2 * along_xx)
+            jac_y[..., rows, 3 * n:] += factor * u2 * (t2 * along_xa - grad_a)
+            jac_Yz[..., rows] += factor * t2 * np.swapaxes(grad_a + u2 * along_xa, -1, -2)
+            jac_Y += (factor * th * later)[..., None] * along_aa
+        out = [rows_y.reshape(lead + (3 * n,)), rows_Y]
+        if jacobian:
+            out += [jac_y.reshape(lead + (3 * n * dim,)),
+                    jac_Yz.reshape(lead + (3 * n * ctx.n_field,)), jac_Y]
+        return np.concatenate(out, axis=-1)
 
     return integrand
 
 
-def _phi_values(t: float, s: float, x, y, zs, X, Y, Zs, ctx: ModelContext,
-                rel_tol: float):
-    """Flat (phi, phi1) rows at B later endpoints sharing one earlier pair.
+def _jacobian_blocks(flat: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """Dense d(phi, phi1)/d(z, Z) from the entries a phi-map quadrature carries.
 
-    ``zs`` (B, n, 3) and ``Zs`` (B, 4N) in, (B, 3n + 4N) out: phi flattened
-    per particle, then phi1.  Each sigma panel runs one theta quadrature over
-    all its 16 sigma nodes and all B endpoints, refined jointly.  Endpoints
-    go in groups whose theta panel stays under ``_PHI_PANEL_BYTES``.
+    Each field variable of the later endpoint reaches only its own phi1
+    entry, so the field-field block is diagonal.  ``flat`` holds the 3n
+    particle rows (3n x dim), then the particle columns of the field rows
+    (4N x 3n), then that diagonal (4N): dim + 4N entries per particle
+    coordinate and one per field variable, at most dim^2.
+    """
+    p = 3 * n
+    fields = dim - p
+    jac = np.zeros((dim, dim))
+    jac[:p] = flat[:p * dim].reshape(p, dim)
+    jac[p:, :p] = flat[p * dim:p * dim + fields * p].reshape(fields, p)
+    jac[range(p, dim), range(p, dim)] = flat[p * dim + fields * p:]
+    return jac
+
+
+def _phi_values(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext,
+                rel_tol: float, jacobian: bool = False):
+    """Flat (phi, phi1) values at one endpoint configuration, and their Jacobian.
+
+    ``z`` (n, 3) and ``Z`` (4N,) are the later endpoint.  Returns the dim
+    values, phi flattened per particle then phi1; with ``jacobian`` on,
+    returns (values, J, J_error), where J = d(phi, phi1)/d(z, Z) comes from
+    the same nested quadrature, differentiated under the integral sign, and
+    J_error bounds the Frobenius norm of J's quadrature error.  Each sigma
+    panel runs one theta quadrature over its 16 sigma nodes.  A panel wider
+    than ``_PHI_PANEL_BYTES`` raises ``BudgetError`` before any quadrature.
     """
     rho = t - s
     config = ctx.config
     n = config.n_particles
     dim = 3 * n + ctx.n_field
-    side_bytes = 16 * 16 * 8 * max(3 * dim, n * n * ctx.modes1.N)
-    if side_bytes > _PHI_PANEL_BYTES:
+    width = dim + (3 * n * (dim + ctx.n_field) + ctx.n_field if jacobian else 0)
+    panel_bytes = 16 * 16 * 8 * max(3 * width, n * n * ctx.modes1.N)
+    if panel_bytes > _PHI_PANEL_BYTES:
         raise BudgetError(
-            f"one phi-map panel needs {side_bytes} bytes, over the cap of "
+            f"one phi-map panel needs {panel_bytes} bytes, over the cap of "
             f"{_PHI_PANEL_BYTES}; reduce the mode or particle count")
-    group = _PHI_PANEL_BYTES // side_bytes
-    if len(zs) > group:
-        return np.concatenate([
-            _phi_values(t, s, x, y, zs[i:i + group], X, Y, Zs[i:i + group],
-                        ctx, rel_tol) for i in range(0, len(zs), group)])
     masses = np.asarray(config.masses, dtype=float)
 
     def sigma_integrand(sigmas):
-        sig = sigmas[:, None, None]
-        y_sig = x + sig[..., None] * (y - x)                  # (S, 1, n, 3)
-        Y_sig = X + sig * (Y - X)                             # (S, 1, 4N)
-        grad_y = masses[:, None] * (y_sig - zs) / rho
-        grad_Y = (Y_sig - Zs) / (config.volume * rho)
-        rows = np.concatenate([grad_y.reshape(grad_Y.shape[:2] + (3 * n,)),
-                               grad_Y], axis=-1)
-        integrand = _earlier_integrand(rho, zs, y_sig, Zs, Y_sig, ctx)
-        if integrand is None:
-            return rows
-        return rows + adaptive_gauss_legendre(integrand, rel_tol=rel_tol,
-                                              abs_floor=1e-14)
+        sig = sigmas[:, None]
+        y_sig = x + sig[..., None] * (y - x)                  # (S, n, 3)
+        Y_sig = X + sig * (Y - X)                             # (S, 4N)
+        rows = np.zeros((len(sigmas), width))
+        rows[:, :3 * n] = (masses[:, None] * (y_sig - z) / rho).reshape(len(sigmas), 3 * n)
+        rows[:, 3 * n:dim] = (Y_sig - Z) / (config.volume * rho)
+        integrand = _earlier_integrand(rho, z, y_sig, Z, Y_sig, ctx, jacobian)
+        if integrand is not None:
+            rows += adaptive_gauss_legendre(integrand, rel_tol=rel_tol,
+                                            abs_floor=1e-14)
+        return rows
 
     integral = adaptive_gauss_legendre(sigma_integrand, rel_tol=rel_tol,
                                        abs_floor=1e-14)
     factor = np.concatenate([np.repeat(-rho / masses, 3),
                              np.full(ctx.n_field, -rho * config.volume)])
-    return factor * integral
+    values = factor * integral[:dim]
+    if not jacobian:
+        return values
+    # The sigma rows depend on (z, Z) through -m (z - .) / rho and
+    # -(Z - .) / (|V| rho), whose derivatives times ``factor`` give the
+    # identity; the rest is the integrated theta Jacobian.  Each level of the
+    # nested quadrature accepts a panel within rel_tol of the largest entry
+    # (or the 1e-14 floor), so each integral entry is off by at most twice
+    # that, and only the entries carried can be off.
+    jac = np.eye(dim) + factor[:, None] * _jacobian_blocks(integral[dim:], n, dim)
+    entry_error = 2.0 * max(rel_tol * float(np.max(np.abs(integral))), 1e-14)
+    carried = factor[:, None] * _jacobian_blocks(np.ones(width - dim), n, dim)
+    return values, jac, entry_error * float(np.linalg.norm(carried))
+
+
+def _phi_jacobian_det(jac: np.ndarray, jac_error: float) -> tuple:
+    """Determinant of a phi-map Jacobian and its first-order error bound.
+
+    |d det| <= |det| ||J^-1||_2 ||dJ||_F, with ``jac_error`` bounding
+    ||dJ||_F; |det| ||J^-1||_2 is the product of all singular values but
+    the smallest, which stays finite for a singular J.
+    """
+    singular = np.linalg.svd(jac, compute_uv=False)
+    return float(np.linalg.det(jac)), jac_error * float(np.prod(singular[:-1]))
 
 
 def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
@@ -713,8 +797,10 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
     homotopy between the earlier endpoints; numerically to the quadrature
     tolerance.  With verify on, the identity is checked against two direct
     action evaluations.  The Jacobian determinant is for the map
-    (z, Z) -> (phi, phi1) by central differences with relative step
-    ``_FD_SCALE``.
+    (z, Z) -> (phi, phi1); the same quadrature that gives the maps gives
+    their Jacobian, differentiated under the integral sign, and
+    ``det_bound`` bounds the determinant's error from the quadrature
+    tolerance.
     """
     if t <= s:
         raise ConfigError("phi_maps needs t > s")
@@ -725,7 +811,13 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
     x, y, z = (_particle_values(p, ctx) for p in (x, y, z))
     X, Y, Z = (_field_values(a, ctx) for a in (X, Y, Z))
 
-    values = _phi_values(t, s, x, y, z[None], X, Y, Z[None], ctx, rel_tol)[0]
+    det = bound = None
+    if jacobian:
+        values, jac, jac_error = _phi_values(t, s, x, y, z, X, Y, Z, ctx,
+                                             rel_tol, jacobian=True)
+        det, bound = _phi_jacobian_det(jac, jac_error)
+    else:
+        values = _phi_values(t, s, x, y, z, X, Y, Z, ctx, rel_tol)
     phi, phi1 = values[:3 * n].reshape(n, 3), values[3 * n:]
 
     residual = None
@@ -742,26 +834,7 @@ def phi_maps(t: float, s: float, x, y, z, X, Y, Z, ctx: ModelContext, *,
                 f"phi-map difference identity drifts by {residual:.3e} "
                 "relative to the direct action difference"
             )
-
-    det = _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol) \
-        if jacobian else None
-    return PhiMapPoint(phi, phi1, det, residual)
-
-
-def _phi_jacobian_det(t, s, x, y, z, X, Y, Z, ctx, rel_tol):
-    """Central-difference determinant of d(phi, phi1) / d(z, Z).
-
-    The 2 dim sides base +- h e_col go through one batched ``_phi_values``.
-    """
-    n = ctx.config.n_particles
-    base = np.concatenate([z.reshape(-1), Z])
-    dim = len(base)
-    steps = _FD_SCALE * np.maximum(1.0, np.abs(base))
-    sides = np.concatenate([base + np.diag(steps), base - np.diag(steps)])
-    values = _phi_values(t, s, x, y, sides[:, :3 * n].reshape(2 * dim, n, 3),
-                         X, Y, sides[:, 3 * n:], ctx, rel_tol)
-    jac = (values[:dim] - values[dim:]).T / (2.0 * steps)
-    return float(np.linalg.det(jac))
+    return PhiMapPoint(phi, phi1, det, bound, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +850,7 @@ class RhoStarResult:
     ceiling_hit: bool
     min_det_at_value: float
     probes: tuple            # (rho, min sampled det, passed)
+    undecided: tuple         # probe rhos whose min det lies within its bound of 1/2
 
     def __float__(self) -> float:
         return self.value
@@ -812,7 +886,10 @@ def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
     Endpoints are sampled once (positions uniform over the box, field values
     Gaussian at the oscillator scale) and reused across probes, so the search
     is deterministic for a fixed seed.  This is a sampled certificate over
-    the drawn endpoints, not a global bound.
+    the drawn endpoints, not a global bound.  Each determinant carries its
+    error bound from the quadrature tolerance; a probe whose min det could
+    lie on either side of 1/2 within those bounds is still decided by its
+    computed value, and its rho is listed in ``undecided``.
     """
     if sample_budget < 1:
         raise ConfigError("rho_star_search needs at least one sample")
@@ -824,19 +901,25 @@ def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
     samples = [sample_endpoints(rng, ctx, 3) for _ in range(sample_budget)]
 
     probes = []
+    undecided = []
 
     def min_det(rho: float) -> float:
-        worst = math.inf
+        worst = lower = upper = math.inf
         for (xs, ys, zs), (Xs, Ys, Zs) in samples:
-            worst = min(worst, _phi_jacobian_det(rho, 0.0, xs, ys, zs, Xs, Ys,
-                                                 Zs, ctx, rel_tol))
+            _, jac, jac_error = _phi_values(rho, 0.0, xs, ys, zs, Xs, Ys, Zs,
+                                            ctx, rel_tol, jacobian=True)
+            det, bound = _phi_jacobian_det(jac, jac_error)
+            worst = min(worst, det)
+            lower, upper = min(lower, det - bound), min(upper, det + bound)
+        if lower < 0.5 <= upper:
+            undecided.append(rho)
         return worst
 
     det_ceiling = min_det(ceiling)
     probes.append((ceiling, det_ceiling, det_ceiling >= 0.5))
     if det_ceiling >= 0.5:
         return RhoStarResult(ceiling, ceiling, True, det_ceiling,
-                             tuple(probes))
+                             tuple(probes), tuple(undecided))
 
     lo, hi = 0.0, ceiling
     lo_det = 1.0
@@ -854,7 +937,8 @@ def rho_star_search(config: SimulationConfig, sample_budget: int = 6, *,
             "no step size with sampled Jacobian determinant >= 1/2 was found "
             f"above {hi:.3e}; the configuration couples too strongly"
         )
-    return RhoStarResult(lo, ceiling, False, lo_det, tuple(probes))
+    return RhoStarResult(lo, ceiling, False, lo_det, tuple(probes),
+                         tuple(undecided))
 
 
 # ---------------------------------------------------------------------------

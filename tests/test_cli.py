@@ -182,6 +182,10 @@ class TestExitCodes:
         ("propagate", "--horizon", "x"),
         ("coulomb-limit", "--eps-levels", "0.5,a"),
         ("riemann", "--anisotropic-ells", "1.5"),
+        ("fock-spectrum", "--mode", "1"),
+        ("propagate", "--mode", "0,0,1,2"),
+        ("action-eval", "--samples", "-1"),
+        ("action-eval", "--samples", "0"),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, subcommand,
                                        flag, value):
@@ -245,9 +249,12 @@ class TestExitCodes:
         ("propagate", "params", "backend", "bogus"),
         ("modes", None, "subcommand", ["modes"]),
         ("modes", None, "outputs", "modes.csv"),
+        ("fock-spectrum", "params", "mode", [1]),
+        ("action-eval", "params", "samples", -1),
     ], ids=["config-string", "unknown-param", "fractional-M1", "null-L1",
             "text-samples", "missing-t", "text-seed", "fractional-seed",
-            "unknown-backend", "list-subcommand", "string-outputs"])
+            "unknown-backend", "list-subcommand", "string-outputs",
+            "short-mode", "negative-samples"])
     def test_malformed_manifest_exits_two(self, tmp_path, capsys, subcommand,
                                           section, key, value):
         argv = [subcommand, "--out", str(tmp_path / "run")]

@@ -24,6 +24,7 @@ from boxqed.coulomb import (
     riemann_sum,
     screened_inverse_square_summand,
     v1_gradient,
+    v1_hessian,
 )
 from boxqed.errors import BudgetError, ConfigError, InvariantViolation
 
@@ -126,6 +127,33 @@ class TestPotentialV1:
                       - potential_V1(down, e, modes, config)) / (2.0 * h)
                 assert grad[j, m] == pytest.approx(fd, abs=5e-8)
 
+
+    def test_hessian_matches_gradient_differences(self, unit_ctx):
+        config, modes = unit_ctx
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-2.0, 2.0, size=(3, 3))
+        e = (1.0, -0.7, 0.4)
+        hess = v1_hessian(x, e, modes, config)
+        assert hess.shape == (3, 3, 3, 3)
+        assert np.allclose(hess, np.transpose(hess, (2, 3, 0, 1)), rtol=0.0, atol=1e-15)
+        h = 1e-6
+        for l in range(3):
+            for d in range(3):
+                up = x.copy()
+                up[l, d] += h
+                down = x.copy()
+                down[l, d] -= h
+                fd = (v1_gradient(up, e, modes, config)
+                      - v1_gradient(down, e, modes, config)) / (2.0 * h)
+                assert np.allclose(hess[:, :, l, d], fd, atol=5e-8)
+        # a batch matches single configurations; one particle has no pairs
+        xs = rng.uniform(-2.0, 2.0, size=(2, 4, 3, 3))
+        batch = v1_hessian(xs, e, modes, config)
+        assert batch.shape == (2, 4, 3, 3, 3, 3)
+        for idx in np.ndindex(2, 4):
+            assert np.allclose(batch[idx], v1_hessian(xs[idx], e, modes, config),
+                               rtol=1e-13, atol=1e-16)
+        assert not np.any(v1_hessian(x[:1], (1.0,), modes, config))
 
     def test_batch_matches_single_configurations(self, unit_ctx):
         config, modes = unit_ctx

@@ -182,8 +182,28 @@ class TestMollifiers:
             fd = (float(ctx.psi(theta + h)[0]) - float(ctx.psi(theta - h)[0])) / (2.0 * h)
             assert float(slope) == pytest.approx(fd, rel=1e-8, abs=1e-10)
 
-    @pytest.mark.parametrize("order", [-1, 2])
-    def test_orders_beyond_one_are_rejected(self, ctx, order):
+    def test_second_derivatives_match_differences(self):
+        ctx = ModelContext.from_config(SimulationConfig(sigma_psi=0.8, width_g=3.0))
+        h = 1e-6
+        for theta in (-2.0, -0.3, 0.0, 0.5, 1.9):
+            value, slope, curve = ctx.psi(theta, order=2)
+            assert (value, slope) == ctx.psi(theta, order=1)
+            fd = (float(ctx.psi(theta + h, order=1)[1])
+                  - float(ctx.psi(theta - h, order=1)[1])) / (2.0 * h)
+            assert float(curve) == pytest.approx(fd, rel=1e-7, abs=1e-10)
+        x = np.array([[0.4, -1.0, 2.2], [1.5, 0.3, -0.6]])
+        value, grad, hess = ctx.g(x, order=2)
+        assert np.array_equal(value, ctx.g(x)[0])
+        assert np.array_equal(grad, ctx.g(x, order=1)[1])
+        assert hess.shape == (2, 3, 3)
+        for m in range(3):
+            step = np.zeros(3)
+            step[m] = h
+            fd = (ctx.g(x + step, order=1)[1] - ctx.g(x - step, order=1)[1]) / (2.0 * h)
+            assert np.allclose(hess[:, m, :], fd, rtol=1e-7, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_orders_beyond_two_are_rejected(self, ctx, order):
         with pytest.raises(ConfigError, match="order"):
             ctx.psi(0.5, order=order)
         with pytest.raises(ConfigError, match="order"):
@@ -276,6 +296,56 @@ class TestTildeA:
             fd = (tilde_value(ctx, xs + step, values)
                   - tilde_value(ctx, xs - step, values)) / (2.0 * h)
             assert np.allclose(grad_x[:, m, :], fd, atol=5e-7)
+
+    def test_second_derivatives_match_finite_differences(self):
+        """hess_xx and hess_xa against differences of the gradients in x,
+        and hess_aa against differences of grad_a in a, which must be
+        diagonal."""
+        ctx = mollified_ctx()
+        values = random_field(ctx.modes3, seed=41).values
+        x = np.array([0.3, -0.7, 0.9])
+        parts = ctx.tilde_A(x, values, second=True)
+        for got, want in zip(parts[:3], ctx.tilde_A(x, values)):
+            assert np.array_equal(got, want)
+        _, _, _, hess_xx, hess_xa, hess_aa = parts
+        n_flat = 4 * ctx.modes3.N
+        assert (hess_xx.shape, hess_xa.shape, hess_aa.shape) \
+            == ((3, 3, 3), (3, 3, n_flat), (3, n_flat))
+        h = 1e-6
+        for m in range(3):
+            step = np.zeros(3)
+            step[m] = h
+            _, gx_up, ga_up = ctx.tilde_A(x + step, values)
+            _, gx_down, ga_down = ctx.tilde_A(x - step, values)
+            assert np.allclose(hess_xx[m], (gx_up - gx_down) / (2.0 * h), atol=1e-8)
+            assert np.allclose(hess_xa[m], (ga_up - ga_down) / (2.0 * h), atol=1e-8)
+        for flat in range(n_flat):
+            bump = np.zeros_like(values)
+            bump[flat] = h
+            fd = (ctx.tilde_A(x, values + bump)[2]
+                  - ctx.tilde_A(x, values - bump)[2]) / (2.0 * h)
+            assert np.allclose(fd[:, flat], hess_aa[:, flat], atol=1e-8)
+            fd[:, flat] = 0.0
+            assert np.max(np.abs(fd)) <= 1e-9
+
+    def test_second_derivatives_batch_and_empty_coupling(self):
+        ctx = mollified_ctx()
+        rng = np.random.default_rng(43)
+        xs = rng.uniform(-2.0, 2.0, size=(2, 3, 3))
+        values = rng.standard_normal((2, 3, 4 * ctx.modes3.N))
+        batch = ctx.tilde_A(xs, values, second=True)
+        for idx in np.ndindex(2, 3):
+            for got, want in zip(batch, ctx.tilde_A(xs[idx], values[idx], second=True)):
+                assert np.max(np.abs(got[idx] - want)) <= 1e-12 * np.max(np.abs(want))
+        config = SimulationConfig(L=(TWO_PI, TWO_PI, TWO_PI))
+        one = ModeSet.from_s_triples([(0, 0, 1)], config.L)
+        empty = ModeSet.from_s_triples([], config.L)
+        uncoupled = ModelContext.custom(config, empty, empty, one)
+        parts = uncoupled.tilde_A(xs, np.ones((2, 3, 4)), second=True)
+        assert [part.shape for part in parts] == [
+            (2, 3, 3), (2, 3, 3, 3), (2, 3, 3, 4), (2, 3, 3, 3, 3),
+            (2, 3, 3, 3, 4), (2, 3, 3, 4)]
+        assert not any(np.any(part) for part in parts)
 
     def test_rejects_values_of_the_wrong_length(self, ctx):
         with pytest.raises(ConfigError):

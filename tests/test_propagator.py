@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -563,6 +564,44 @@ class TestEarlierIntegrand:
                     assert np.max(np.abs(point - want)) \
                         <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: _charged_ctx(ONE_MODE),
+        _two_particle_ctx,
+        lambda: _charged_ctx(TWO_MODES),
+    ], ids=["criterion8-one-mode", "two-particle-v1", "two-mode-large"])
+    def test_jacobian_rows_match_central_differences(self, make_ctx):
+        """The Jacobian rows against central differences of the values in
+        the later endpoint (z, Z), over a batch of two endpoint pairs; the
+        values ride along unchanged."""
+        ctx = make_ctx()
+        n = ctx.config.n_particles
+        dim = 3 * n + ctx.n_field
+        rng = np.random.default_rng(19)
+        rho = 0.6
+        z, y = (rng.uniform(-0.5 * TWO_PI, 0.5 * TWO_PI, size=(2, n, 3))
+                for _ in range(2))
+        Z, Y = (rng.standard_normal((2, ctx.n_field)) for _ in range(2))
+        thetas = np.array([0.0, 0.3, 0.85, 1.0])
+        got = _earlier_integrand(rho, z, y, Z, Y, ctx, jacobian=True)(thetas)
+        assert np.array_equal(got[..., :dim],
+                              _earlier_integrand(rho, z, y, Z, Y, ctx)(thetas))
+        h = 1e-5
+        for b in range(2):
+            base = np.concatenate([z[b].reshape(-1), Z[b]])
+            fd = np.empty((len(thetas), dim, dim))
+            for col in range(dim):
+                sides = []
+                for sign in (1.0, -1.0):
+                    moved = base.copy()
+                    moved[col] += sign * h
+                    sides.append(_earlier_integrand(
+                        rho, moved[:3 * n].reshape(n, 3), y[b], moved[3 * n:],
+                        Y[b], ctx)(thetas))
+                fd[:, :, col] = (sides[0] - sides[1]) / (2.0 * h)
+            for k in range(len(thetas)):
+                jac = propagator._jacobian_blocks(got[k, b, dim:], n, dim)
+                assert np.max(np.abs(jac - fd[k])) <= 1e-7 * np.max(np.abs(fd))
+
 
 def _criterion5_v1_ctx():
     """Criterion 5's two-particle config: V1 on its full first mode set,
@@ -612,16 +651,38 @@ class TestJointPhiQuadrature:
         det = looped_phi_jacobian_det(rho, 0.0, x, y, z, X, Y, Z, ctx, 1e-6, 1e-5)
         assert abs(point.jacobian_det - det) <= 1e-8 * abs(det)
 
-    def test_side_groups_match_one_group(self, monkeypatch):
+    def test_byte_cap_counts_the_jacobian_block(self, monkeypatch):
+        """One charge on one mode: dim 7, so a node carries 7 values and 44
+        entries with the Jacobian block (3 particle rows of 7, the 4 x 3
+        particle columns of the field rows and the 4 field diagonal entries)."""
         ctx = _charged_ctx(ONE_MODE)
         (x, y, z), (X, Y, Z) = self._endpoints(ctx)
         whole = phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
-        dim = 3 + ctx.n_field
-        # three of the fourteen difference sides per joint quadrature
-        monkeypatch.setattr(propagator, "_PHI_PANEL_BYTES", 3 * 16 * 16 * 8 * 3 * dim)
-        grouped = phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
-        assert abs(grouped.jacobian_det - whole.jacobian_det) \
-            <= 1e-8 * abs(whole.jacobian_det)
+        panel = 16 * 16 * 8 * 3
+        monkeypatch.setattr(propagator, "_PHI_PANEL_BYTES", panel * 44)
+        capped = phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
+        assert capped.jacobian_det == whole.jacobian_det
+        monkeypatch.setattr(propagator, "_PHI_PANEL_BYTES", panel * 44 - 1)
+        with pytest.raises(BudgetError, match="cap"):
+            phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6)
+        # the values alone still fit
+        monkeypatch.setattr(propagator, "_PHI_PANEL_BYTES", panel * 7)
+        values = phi_maps(0.5, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6,
+                          jacobian=False)
+        assert values.jacobian_det is None and values.det_bound is None
+        assert np.allclose(values.phi1, whole.phi1, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("make_ctx,rho", CASES, ids=IDS)
+    def test_det_bound_covers_a_tighter_quadrature(self, make_ctx, rho):
+        """The first-order bound from rel_tol = 1e-6 covers the distance to
+        the determinant at rel_tol = 1e-12."""
+        ctx = make_ctx()
+        (x, y, z), (X, Y, Z) = self._endpoints(ctx)
+        loose = phi_maps(rho, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-6, verify=False)
+        tight = phi_maps(rho, 0.0, x, y, z, X, Y, Z, ctx, rel_tol=1e-12, verify=False)
+        assert 0.0 < loose.det_bound < abs(loose.jacobian_det)
+        assert abs(loose.jacobian_det - tight.jacobian_det) <= loose.det_bound
+        assert tight.det_bound < 1e-4 * loose.det_bound
 
     def test_side_over_the_cap_raises_before_quadrature(self, monkeypatch):
         ctx = _charged_ctx(ONE_MODE)
@@ -658,6 +719,41 @@ class TestRhoStarSearch:
         assert result.min_det_at_value >= 0.5
         assert result.probes[0][2] is False    # the ceiling probe failed
         assert len(result.probes) == 4
+
+    def test_many_mode_context_bisects_quickly(self):
+        """Criterion 5's cutoffs (13 modes on each) on a box of edge 2,
+        charged so that the ceiling fails: dim 58, four probes."""
+        config = SimulationConfig(L=(2.0, 2.0, 2.0), M=(1, 1, 1), n_particles=2,
+                                  masses=(1.0, 2.0), charges=(20.0, -10.0),
+                                  sigma_psi=0.8, width_g=2.0)
+        ctx = ModelContext.from_config(config)
+        assert min(ctx.modes1.N, ctx.modes2.N, ctx.modes3.N) >= 13
+        started = time.perf_counter()
+        result = rho_star_search(config, sample_budget=1, ctx=ctx, bisect_iters=3)
+        assert time.perf_counter() - started < 10.0
+        assert len(result.probes) == 4
+        assert not result.ceiling_hit
+        assert result.probes[0][2] is False
+        assert 0.0 < float(result) < 1.0
+        assert result.min_det_at_value >= 0.5
+
+    def test_probe_within_its_bound_of_half_is_undecided(self, monkeypatch):
+        """A probe is undecided when [min(det - bound), min(det + bound)]
+        over its samples holds 1/2; it is still passed or failed by its
+        computed min det."""
+        config = SimulationConfig(L=BOX, n_particles=1, masses=(1.0,),
+                                  charges=(20.0,), sigma_psi=1e6)
+        ctx = ModelContext.custom(config, EMPTY, ONE_MODE, ONE_MODE)
+        scripted = iter([(0.49, 0.02), (0.7, 0.1),     # ceiling: undecided
+                         (0.45, 0.01), (0.7, 0.1),     # 1/2: failed
+                         (0.55, 0.01), (0.6, 0.01)])   # 1/4: passed
+        monkeypatch.setattr(propagator, "_phi_jacobian_det",
+                            lambda jac, jac_error: next(scripted))
+        result = rho_star_search(config, sample_budget=2, ctx=ctx,
+                                 bisect_iters=2)
+        assert result.probes == ((1.0, 0.49, False), (0.5, 0.45, False),
+                                 (0.25, 0.55, True))
+        assert result.undecided == (1.0,)
 
     def test_input_guards(self):
         config = SimulationConfig(L=BOX)
